@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import re
+import os
 import shlex
 import subprocess
 import sys
@@ -19,15 +19,18 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from pathlib import Path
 
 from . import qdimacs
-from .errors import BudgetExceededError, IntsplitsError
+from .errors import BudgetExceededError, DuplicateResultError, IntsplitsError, UnparsableRowError
 from .evaluator import EvalBudget, check_correctness, evaluate, evaluate_with_intsplits
 from .formula import Formula
 from .merger import (
     ResultCode,
     TIME_MODELS,
+    ResultTuple,
     format_flat_report,
+    format_indices,
     ingest,
     merge,
+    parse_result_row,
     render_certificate,
     speedup_report,
 )
@@ -40,11 +43,11 @@ from .splitter import (
     plan,
     read_manifest,
     split_formula,
+    subproblem_index,
     verify_manifest,
 )
 
 RESULTS_NAME = "results.csv"
-_INDEX_PREFIX = re.compile(r"^(\d+)-")
 
 
 def _say(message: str) -> None:
@@ -141,10 +144,9 @@ def _external_task(template: str, path: Path, timeout: float) -> tuple[str, floa
 def _subproblem_files(directory: Path) -> dict[int, Path]:
     files: dict[int, Path] = {}
     for path in sorted(directory.iterdir()):
-        match = _INDEX_PREFIX.match(path.name)
-        if not match or not path.is_file() or path.suffix == ".log":
+        index = subproblem_index(path.name)
+        if index is None or not path.is_file() or path.suffix == ".log":
             continue
-        index = int(match.group(1))
         if index in files:
             raise IntsplitsError(
                 f"two sub-problem files share index {index}: {files[index].name} "
@@ -154,16 +156,28 @@ def _subproblem_files(directory: Path) -> dict[int, Path]:
     return files
 
 
-def _existing_results(path: Path) -> set[int]:
-    done: set[int] = set()
-    if not path.exists():
-        return done
-    with path.open() as handle:
-        for line in handle:
-            first = line.split(",", 1)[0].strip()
-            if first.isdigit():
-                done.add(int(first))
-    return done
+def _existing_results(path: Path) -> tuple[dict[int, ResultTuple], bool]:
+    """Rows of an earlier run that parse, by index, and whether the file
+    exists and can be appended to as it is.  A row a kill cut short or one
+    with bytes that are not UTF-8 does not parse, so its task runs again;
+    two rows for one index are an error, as in `merge`."""
+    done: dict[int, ResultTuple] = {}
+    intact, last = True, ""
+    if path.exists():
+        with path.open(errors="replace") as handle:
+            for line_no, last in enumerate(handle, start=1):
+                where = f"{path}: line {line_no}"
+                try:
+                    row = parse_result_row(last, where)
+                except UnparsableRowError:
+                    intact = False
+                    continue
+                if row is None:
+                    continue
+                if row[0] in done:
+                    raise DuplicateResultError(f"{where}: duplicate result for index {row[0]}")
+                done[row[0]] = row[1]
+    return done, intact and last.endswith("\n")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -171,27 +185,35 @@ def cmd_run(args: argparse.Namespace) -> int:
     manifest = read_manifest(directory / MANIFEST_NAME)
     files = _subproblem_files(directory)
     results_path = directory / RESULTS_NAME
-    done = _existing_results(results_path)
+    done, intact = _existing_results(results_path)
     pending = [entry.index for entry in manifest if entry.index not in done]
+    missing = [index for index in pending if index not in files]
+    if missing:
+        raise IntsplitsError(
+            f"no sub-problem file in {directory} for indices: {format_indices(missing)}"
+        )
     if done:
         _say(f"resuming: {len(done)} results present, {len(pending)} tasks left")
 
     def task(index: int) -> tuple[int, str, float]:
-        path = files.get(index)
-        if path is None:
-            return index, ResultCode.UNKNOWN.name, 0.0
         if args.solver:
-            code, seconds = _external_task(args.solver, path, args.timeout)
+            code, seconds = _external_task(args.solver, files[index], args.timeout)
         else:
-            code, seconds = _builtin_task(path, args.timeout, args.strict)
+            code, seconds = _builtin_task(files[index], args.timeout, args.strict)
         return index, code, seconds
 
-    fresh = not results_path.exists()
+    if not intact:
+        # Write the header and the kept rows beside the file and swap it in,
+        # so no kill can lose a finished result.
+        scratch = results_path.with_name(RESULTS_NAME + ".tmp")
+        with scratch.open("w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["index", "result", "time_seconds"])
+            writer.writerows([i, r.code.name, f"{r.time:.6f}"] for i, r in done.items())
+        os.replace(scratch, results_path)
     unknown = 0
     with results_path.open("a", newline="") as handle:
         writer = csv.writer(handle)
-        if fresh:
-            writer.writerow(["index", "result", "time_seconds"])
         with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
             futures = [pool.submit(task, index) for index in pending]
             for future in as_completed(futures):

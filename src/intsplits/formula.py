@@ -28,8 +28,6 @@ __all__ = [
     "ENUMERATION_WIDTH_LIMIT",
     "Assignment",
     "QuantifierKind",
-    "Literal",
-    "Clause",
     "Matrix",
     "QuantifierBlock",
     "BitVectorVar",
@@ -66,72 +64,34 @@ class QuantifierKind(Enum):
 
 
 @dataclass(frozen=True)
-class Literal:
-    """A possibly negated propositional variable."""
-
-    variable: int
-    negated: bool = False
-
-    def __post_init__(self) -> None:
-        if self.variable < 1:
-            raise FormulaError(f"variable ids start at 1, got {self.variable}")
-
-    @classmethod
-    def from_int(cls, value: int) -> "Literal":
-        if value == 0:
-            raise FormulaError("0 terminates clauses and is not a literal")
-        return cls(abs(value), value < 0)
-
-    def to_int(self) -> int:
-        return -self.variable if self.negated else self.variable
-
-    def satisfied_by(self, bit: int) -> bool:
-        return bool(bit) != self.negated
-
-
-@dataclass(frozen=True)
-class Clause:
-    """Disjunction of literals.  The empty clause denotes falsity."""
-
-    literals: tuple[Literal, ...] = ()
-
-    @classmethod
-    def from_ints(cls, values: Iterable[int]) -> "Clause":
-        return cls(tuple(Literal.from_int(v) for v in values))
-
-    def to_ints(self) -> tuple[int, ...]:
-        return tuple(lit.to_int() for lit in self.literals)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.literals
-
-
-@dataclass(frozen=True)
 class Matrix:
-    """CNF matrix: a conjunction of clauses over variables 1..variable_count."""
+    """CNF matrix: a conjunction of clauses over variables 1..variable_count.
 
-    clauses: tuple[Clause, ...]
+    A clause is a tuple of DIMACS literals, v for variable v and -v for its
+    negation; the empty tuple is the false clause.
+    """
+
+    clauses: tuple[tuple[int, ...], ...]
     variable_count: int
 
     def __post_init__(self) -> None:
         if self.variable_count < 0:
             raise FormulaError("variable count cannot be negative")
         for clause in self.clauses:
-            for lit in clause.literals:
-                if lit.variable > self.variable_count:
+            for lit in clause:
+                if not 0 < abs(lit) <= self.variable_count:
                     raise FormulaError(
-                        f"literal references variable {lit.variable} beyond "
-                        f"declared count {self.variable_count}"
+                        f"clause literal {lit} names no variable in "
+                        f"1..{self.variable_count}"
                     )
 
     @classmethod
     def from_ints(cls, clauses: Iterable[Iterable[int]], variable_count: int) -> "Matrix":
-        return cls(tuple(Clause.from_ints(c) for c in clauses), variable_count)
+        return cls(tuple(tuple(c) for c in clauses), variable_count)
 
     @property
     def has_empty_clause(self) -> bool:
-        return any(c.is_empty for c in self.clauses)
+        return () in self.clauses
 
 
 @dataclass(frozen=True)
@@ -386,17 +346,15 @@ def apply_assignment(matrix: Matrix, sigma: Mapping[int, int]) -> Matrix:
             raise FormulaError(f"assignment values are 0 or 1, got {bit!r}")
     new_clauses = []
     for clause in matrix.clauses:
-        kept: list[Literal] = []
-        satisfied = False
-        for lit in clause.literals:
-            bit = sigma.get(lit.variable)
+        kept = []
+        for lit in clause:
+            bit = sigma.get(abs(lit))
             if bit is None:
                 kept.append(lit)
-            elif lit.satisfied_by(bit):
-                satisfied = True
+            elif bit == (lit > 0):
                 break
-        if not satisfied:
-            new_clauses.append(Clause(tuple(kept)))
+        else:
+            new_clauses.append(tuple(kept))
     return Matrix(tuple(new_clauses), matrix.variable_count)
 
 
@@ -495,10 +453,10 @@ class Formula:
                 quantified.add(v)
         if self.prefix:
             for clause in self.matrix.clauses:
-                for lit in clause.literals:
-                    if lit.variable not in quantified:
+                for lit in clause:
+                    if abs(lit) not in quantified:
                         raise FormulaError(
-                            f"free variable {lit.variable} in matrix; only closed "
+                            f"free variable {abs(lit)} in matrix; only closed "
                             f"formulas are supported"
                         )
             cursor = AnnotationCursor(self.prefix)

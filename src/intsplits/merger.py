@@ -30,7 +30,7 @@ from .errors import (
     UnparsableRowError,
 )
 from .formula import QuantifierKind
-from .splitter import SplitPlan, count_subproblems, count_without_intsplits
+from .splitter import SplitPlan, count_subproblems, count_without_intsplits, subproblem_index
 
 __all__ = [
     "ResultCode",
@@ -38,6 +38,7 @@ __all__ = [
     "ResultTable",
     "TIME_MODELS",
     "parse_result_token",
+    "parse_result_row",
     "ingest",
     "reduce_level",
     "merge",
@@ -50,7 +51,6 @@ __all__ = [
 TIME_MODELS = ("paper", "refined")
 
 _LOG_LINE = re.compile(r"RESULT\s+(\S+)\s+TIME\s+(\S+)\s*$")
-_INDEX_PREFIX = re.compile(r"^(\d+)-")
 
 
 class ResultCode(IntEnum):
@@ -107,25 +107,32 @@ class ResultTable:
             )
 
 
+def parse_result_row(line: str, where: str) -> tuple[int, ResultTuple] | None:
+    """One `index,result,time_seconds` row of a results CSV; None for blank,
+    comment and header lines.  `where` prefixes error messages."""
+    line = line.strip()
+    if not line or line.startswith("#") or line.lower().startswith("index"):
+        return None
+    parts = [p.strip() for p in line.split(",")]
+    if len(parts) != 3:
+        raise UnparsableRowError(f"{where}: expected 'index,result,time_seconds'")
+    try:
+        index = int(parts[0])
+    except ValueError:
+        raise UnparsableRowError(f"{where}: bad index {parts[0]!r}") from None
+    code = _parse_token_at(parts[1], where)
+    seconds = _parse_time_at(parts[2], where)
+    return index, ResultTuple(code, seconds)
+
+
 def _rows_from_csv(path: Path) -> Iterator[tuple[str, int, ResultTuple]]:
-    with path.open() as handle:
+    # A byte that is not UTF-8 becomes U+FFFD and fails the row's parse.
+    with path.open(errors="replace") as handle:
         for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line.lower().startswith("index"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 3:
-                raise UnparsableRowError(
-                    f"{path}: line {line_no}: expected 'index,result,time_seconds'"
-                )
             where = f"{path}: line {line_no}"
-            try:
-                index = int(parts[0])
-            except ValueError:
-                raise UnparsableRowError(f"{where}: bad index {parts[0]!r}") from None
-            code = _parse_token_at(parts[1], where)
-            seconds = _parse_time_at(parts[2], where)
-            yield where, index, ResultTuple(code, seconds)
+            row = parse_result_row(raw, where)
+            if row is not None:
+                yield where, *row
 
 
 def _parse_token_at(token: str, where: str) -> ResultCode:
@@ -149,12 +156,11 @@ def _rows_from_logs(directory: Path) -> Iterator[tuple[str, int, ResultTuple]]:
     # One log file per sub-problem, named like the sub-problem itself plus
     # any suffix; the last non-empty line must be `RESULT <code> TIME <s>`.
     for path in sorted(directory.iterdir()):
-        match = _INDEX_PREFIX.match(path.name)
-        if not match or not path.is_file():
+        index = subproblem_index(path.name)
+        if index is None or not path.is_file():
             continue
-        index = int(match.group(1))
         last = ""
-        for line in path.read_text().splitlines():
+        for line in path.read_text(errors="replace").splitlines():
             if line.strip():
                 last = line.strip()
         found = _LOG_LINE.search(last)
@@ -165,6 +171,12 @@ def _rows_from_logs(directory: Path) -> Iterator[tuple[str, int, ResultTuple]]:
         code = _parse_token_at(found.group(1), str(path))
         seconds = _parse_time_at(found.group(2), str(path))
         yield str(path), index, ResultTuple(code, seconds)
+
+
+def format_indices(indices: Sequence[int]) -> str:
+    """The first 20 indices, comma-separated, and how many more follow."""
+    more = "" if len(indices) <= 20 else f" (and {len(indices) - 20} more)"
+    return ", ".join(map(str, indices[:20])) + more
 
 
 def ingest(source: str | Path, plan: SplitPlan) -> ResultTable:
@@ -181,9 +193,7 @@ def ingest(source: str | Path, plan: SplitPlan) -> ResultTable:
         seen[index] = result
     missing = [i for i in range(total) if i not in seen]
     if missing:
-        shown = ", ".join(map(str, missing[:20]))
-        more = "" if len(missing) <= 20 else f" (and {len(missing) - 20} more)"
-        raise MissingResultError(f"missing results for indices: {shown}{more}")
+        raise MissingResultError(f"missing results for indices: {format_indices(missing)}")
     return ResultTable(plan, tuple(seen[i] for i in range(total)))
 
 

@@ -40,7 +40,6 @@ from .formula import (
     AnnotatedQuantifier,
     AnnotationCursor,
     BitVectorVar,
-    Clause,
     Constraint,
     Formula,
     Greater,
@@ -297,16 +296,10 @@ def _implicit_width(split: RawSplit) -> int:
     return (s - 1).bit_length()
 
 
-def _normalize_clause(body: tuple[int, ...]) -> Clause:
+def _normalize_clause(body: tuple[int, ...]) -> tuple[int, ...]:
     # Duplicate literals are dropped (first occurrence wins); tautologies
     # such as (x or not x) are kept verbatim for round-trip fidelity.
-    seen: set[int] = set()
-    kept: list[int] = []
-    for value in body:
-        if value not in seen:
-            seen.add(value)
-            kept.append(value)
-    return Clause.from_ints(kept)
+    return tuple(dict.fromkeys(body))
 
 
 def _build(doc: SourceDocument) -> Formula:
@@ -393,14 +386,21 @@ def _build(doc: SourceDocument) -> Formula:
 
 
 def parse(text: str | bytes, strict: bool = False) -> Formula:
-    """Parse one (Q)DIMACS document into a validated formula."""
+    """Parse one (Q)DIMACS document into a validated formula; bytes are
+    read as UTF-8."""
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = text.count(b"\n", 0, exc.start) + 1
+            raise ParseError(
+                f"line {line_no}: byte {exc.start} is not valid UTF-8 ({exc.reason})"
+            ) from None
     return _build(scan(text, strict))
 
 
 def parse_file(path: str | Path, strict: bool = False) -> Formula:
-    return parse(Path(path).read_text(), strict)
+    return parse(Path(path).read_bytes(), strict)
 
 
 def _format_constraint(constraint: Constraint, width: int) -> str:
@@ -430,7 +430,7 @@ def write(formula: Formula) -> str:
     for block in formula.prefix:
         lines.append(f"{block.kind.value} {' '.join(str(v) for v in block.variables)} 0")
     for clause in formula.matrix.clauses:
-        body = " ".join(str(v) for v in clause.to_ints())
+        body = " ".join(map(str, clause))
         lines.append(f"{body} 0" if body else "0")
     return "\n".join(lines) + "\n"
 

@@ -18,6 +18,7 @@ can be split again.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
@@ -31,9 +32,7 @@ from .formula import (
     AnnotationCursor,
     Assignment,
     BitVectorVar,
-    Clause,
     Formula,
-    Literal,
     Matrix,
     QuantifierBlock,
     QuantifierKind,
@@ -53,6 +52,7 @@ __all__ = [
     "count_without_intsplits",
     "enumerate_accounted",
     "subproblem_name",
+    "subproblem_index",
     "expanded_copy",
     "emit_subproblem",
     "split_formula",
@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "plan.csv"
+_INDEX_PREFIX = re.compile(r"^(\d+)-")
 
 
 class SplitMode(Enum):
@@ -183,6 +184,12 @@ def subproblem_name(index: int, count: int, original_name: str) -> str:
     return f"{index:0{pad}d}-{original_name}"
 
 
+def subproblem_index(name: str) -> int | None:
+    """Index that subproblem_name put in front of a file name, or None."""
+    match = _INDEX_PREFIX.match(name)
+    return int(match.group(1)) if match else None
+
+
 def _aligned_prefix(
     blocks: Sequence[QuantifierBlock], candidates: Sequence[AnnotatedQuantifier]
 ) -> tuple[AnnotatedQuantifier, ...]:
@@ -202,7 +209,7 @@ def _aligned_prefix(
 def expanded_copy(formula: Formula, expansion: ExpansionIndex) -> Formula:
     """The sub-problem formula for one accounted assignment."""
     assigned = {v for v, _ in expansion.pairs}
-    units = tuple(Clause((Literal(v, bit == 0),)) for v, bit in expansion.pairs)
+    units = tuple((v if bit else -v,) for v, bit in expansion.pairs)
     matrix = Matrix(formula.matrix.clauses + units, formula.matrix.variable_count)
 
     blocks: list[QuantifierBlock] = []
@@ -278,7 +285,8 @@ def write_manifest(split_plan: SplitPlan, out_dir: str | Path) -> Path:
 
 def read_manifest(path: str | Path) -> list[ExpansionIndex]:
     entries: list[ExpansionIndex] = []
-    with Path(path).open(newline="") as handle:
+    # A byte that is not UTF-8 becomes U+FFFD and fails its row's parse.
+    with Path(path).open(newline="", errors="replace") as handle:
         for row_no, row in enumerate(csv.reader(handle), start=1):
             if not row or row[0].strip() in ("", "index"):
                 continue

@@ -56,7 +56,7 @@ def reference_value_of_formula(formula: Formula) -> bool:
     ]
     if not formula.prefix:
         steps = [("e", v) for v in range(1, formula.matrix.variable_count + 1)]
-    clauses = [clause.to_ints() for clause in formula.matrix.clauses]
+    clauses = list(formula.matrix.clauses)
     return reference_qbf_value(steps, clauses)
 
 

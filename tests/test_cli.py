@@ -129,6 +129,13 @@ def test_parse_errors_exit_nonzero(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.qdimacs"
+    latin1.write_bytes(b"c caf\xe9\n" + PHI1_TEXT.encode())
+    assert run_cli("eval", latin1) == 1
+    assert "byte 5 is not valid UTF-8" in capsys.readouterr().err
+
+
 def test_budget_exit_code_is_distinct(tmp_path, capsys):
     wide = tmp_path / "wide.qdimacs"
     variables = " ".join(str(v) for v in range(1, 31))
@@ -175,3 +182,86 @@ def test_run_resumes_existing_results(fig1, tmp_path, capsys):
     assert len(rows) == 9
     assert sorted(int(r.split(",")[0]) for r in rows) == list(range(9))
     assert run_cli("merge", fig1, out) == 0
+
+
+def test_run_records_badly_encoded_subproblem_as_unknown(fig1, tmp_path):
+    out = tmp_path / "out"
+    run_cli("split", fig1, "--depth", 4, "--out", out)
+    broken = out / "0003-fig1.qdimacs"
+    broken.write_bytes(b"c \xff\n" + broken.read_bytes())
+    assert run_cli("run", out) == 0
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert len(rows) == 9
+    assert [r.split(",")[1] for r in rows if r.startswith("3,")] == ["UNKNOWN"]
+
+
+def test_run_refuses_missing_subproblem_files(fig1, tmp_path, capsys):
+    out = tmp_path / "out"
+    run_cli("split", fig1, "--depth", 4, "--out", out)
+    (out / "0001-fig1.qdimacs").unlink()
+    (out / "0004-fig1.qdimacs").unlink()
+    capsys.readouterr()
+    assert run_cli("run", out) == 1
+    assert "indices: 1, 4" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
+def test_run_reruns_a_row_cut_short_by_a_kill(fig1, tmp_path, capsys):
+    out = tmp_path / "out"
+    run_cli("split", fig1, "--depth", 4, "--out", out)
+    (out / "results.csv").write_text("index,result,time_seconds\n0,TRUE,0.5\n1,TR")
+    assert run_cli("run", out) == 0
+    rows = (out / "results.csv").read_text().splitlines()
+    assert rows[:2] == ["index,result,time_seconds", "0,TRUE,0.500000"]
+    assert sorted(int(r.split(",")[0]) for r in rows[1:]) == list(range(9))
+    assert not (out / "results.csv.tmp").exists()
+    capsys.readouterr()
+    assert run_cli("merge", fig1, out) == 0
+    assert "final_result=TRUE" in capsys.readouterr().out
+
+
+def test_results_rows_with_non_utf8_bytes_fail_merge_and_rerun(fig1, tmp_path, capsys):
+    out = tmp_path / "out"
+    run_cli("split", fig1, "--depth", 4, "--out", out)
+    rows = [f"{i},TRUE,1.0" for i in range(9)]
+    rows[2] = "2,TR\xffUE,1.0"
+    (out / "results.csv").write_bytes(("\n".join(rows) + "\n").encode("latin-1"))
+    assert run_cli("merge", fig1, out) == 1
+    assert "line 3: unknown result token" in capsys.readouterr().err
+    assert run_cli("run", out) == 0
+    assert run_cli("merge", fig1, out) == 0
+
+
+def test_resume_appends_to_an_intact_results_file(fig1, tmp_path):
+    out = tmp_path / "out"
+    run_cli("split", fig1, "--depth", 4, "--out", out)
+    kept = "index,result,time_seconds\n0,TRUE,1.0\n1,FALSE,2\n"
+    (out / "results.csv").write_text(kept)
+    assert run_cli("run", out) == 0
+    text = (out / "results.csv").read_text()
+    assert text.startswith(kept)
+    assert len(text.splitlines()) == 10
+
+
+def test_run_refuses_duplicate_result_rows(fig1, tmp_path, capsys):
+    out = tmp_path / "out"
+    run_cli("split", fig1, "--depth", 4, "--out", out)
+    rows = "index,result,time_seconds\n0,TRUE,1.0\n1,TR\n0,FALSE,1.0\n"
+    (out / "results.csv").write_text(rows)
+    capsys.readouterr()
+    assert run_cli("run", out) == 1
+    assert "line 4: duplicate result for index 0" in capsys.readouterr().err
+    assert (out / "results.csv").read_text() == rows
+
+
+def test_manifest_bytes_that_are_not_utf8(fig1, tmp_path, capsys):
+    out = tmp_path / "out"
+    run_cli("split", fig1, "--depth", 4, "--out", out)
+    with (out / "plan.csv").open("ab") as handle:
+        handle.write(b"\xff\n")
+    capsys.readouterr()
+    assert run_cli("run", out) == 1
+    assert run_cli("merge", fig1, out) == 1
+    err = capsys.readouterr().err
+    assert err.count("plan.csv: row 11 has 1 fields") == 2
+    assert "Traceback" not in err

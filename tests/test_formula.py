@@ -19,7 +19,6 @@ from intsplits import (
     InSet,
     InvalidAnnotationError,
     Less,
-    Literal,
     Matrix,
     PatternWidthMismatchError,
     QuantifierBlock,
@@ -200,7 +199,7 @@ def test_efficiency_examples_exact():
 def test_apply_assignment_examples():
     matrix = Matrix.from_ints([(1, 2), (-1, -2)], 2)
     simplified = apply_assignment(matrix, {1: 1})
-    assert [c.to_ints() for c in simplified.clauses] == [(-2,)]
+    assert simplified.clauses == ((-2,),)
     falsified = apply_assignment(matrix, {1: 1, 2: 1})
     assert falsified.has_empty_clause
     assert apply_assignment(matrix, {}) == matrix
@@ -233,7 +232,7 @@ def test_apply_assignment_preserves_models():
             tau = {**sigma, **dict(zip(free, bits))}
             before = all(clause_satisfied(c, tau) for c in clauses)
             after = all(
-                clause_satisfied(c.to_ints(), tau) if c.to_ints() else False
+                clause_satisfied(c, tau) if c else False
                 for c in simplified.clauses
             )
             assert before == after
@@ -252,7 +251,7 @@ def test_apply_assignment_rejects_bad_input():
 
 def test_basic_type_validation():
     with pytest.raises(FormulaError):
-        Literal(0)
+        Matrix.from_ints([(0,)], 1)
     with pytest.raises(FormulaError):
         Less(0)
     with pytest.raises(FormulaError):
@@ -267,6 +266,8 @@ def test_basic_type_validation():
         QuantifierBlock(E, ())
     with pytest.raises(FormulaError):
         Matrix.from_ints([(3,)], 2)
+    with pytest.raises(FormulaError):
+        Matrix.from_ints([(-3,)], 2)
     with pytest.raises(InvalidAnnotationError):
         AnnotatedQuantifier(E, BitVectorVar((1, 2)), ())
 

@@ -223,6 +223,17 @@ def test_ingest_from_log_directory(tmp_path):
         ingest(tmp_path, FIG1_PLAN)
 
 
+def test_log_bytes_that_are_not_utf8(tmp_path):
+    for index in range(9):
+        (tmp_path / f"{index:04d}-f.qdimacs.log").write_bytes(
+            b"c chatter \xe9\xff\nRESULT 10 TIME 1.0\n"
+        )
+    assert ingest(tmp_path, FIG1_PLAN).tuples[0] == ResultTuple(TRUE, 1.0)
+    (tmp_path / "0004-f.qdimacs.log").write_bytes(b"RESULT 1\xff0 TIME 1.0\n")
+    with pytest.raises(UnparsableRowError, match="0004-f.qdimacs.log"):
+        ingest(tmp_path, FIG1_PLAN)
+
+
 # speedup report -------------------------------------------------------------
 
 

@@ -3,9 +3,11 @@ round trips and backward compatibility."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from conftest import A, E, legacy_parse
+from conftest import A, E, legacy_parse, random_annotated_formula
 from intsplits import (
     AmbiguousImplicitError,
     AnnotatedQuantifier,
@@ -14,6 +16,7 @@ from intsplits import (
     DimacsModeViolationError,
     Formula,
     FormulaError,
+    IntsplitsError,
     Greater,
     InSet,
     Less,
@@ -25,6 +28,7 @@ from intsplits import (
     Top,
     UnknownVariableError,
     parse,
+    parse_file,
     write,
 )
 from intsplits.qdimacs import scan
@@ -199,8 +203,8 @@ def test_crlf_accepted_lf_emitted():
 
 def test_duplicate_literals_dropped_tautologies_kept():
     formula = parse("p cnf 2 2\n1 1 -2 0\n1 -1 0\n")
-    assert formula.matrix.clauses[0].to_ints() == (1, -2)
-    assert formula.matrix.clauses[1].to_ints() == (1, -1)
+    assert formula.matrix.clauses[0] == (1, -2)
+    assert formula.matrix.clauses[1] == (1, -1)
     assert "1 -1 0" in write(formula)
 
 
@@ -212,7 +216,7 @@ def test_consecutive_same_kind_prefix_lines_merge():
 
 def test_empty_clause_line_preserved():
     formula = parse("p cnf 1 2\ne 1 0\n1 0\n0\n")
-    assert formula.matrix.clauses[1].is_empty
+    assert formula.matrix.clauses[1] == ()
     assert parse(write(formula)) == formula
 
 
@@ -267,3 +271,57 @@ def test_scan_exposes_document_structure():
     assert doc.comments == ("note",)
     assert len(doc.splits) == 1 and doc.splits[0].variables == (1,)
     assert doc.prefix_rows[0][1] is E
+
+
+def test_non_utf8_input_is_a_parse_error(tmp_path):
+    with pytest.raises(ParseError, match="line 2: byte 12 "):
+        parse(b"p cnf 1 1\nc \xff\n1 0\n")
+    path = tmp_path / "latin1.qdimacs"
+    path.write_bytes(b"c caf\xe9\np cnf 1 1\ne 1 0\n1 0\n")
+    with pytest.raises(ParseError, match="byte 5 "):
+        parse_file(path)
+
+
+def test_utf8_comments_parse_from_bytes_and_files(tmp_path):
+    text = "c café\np cnf 1 1\ne 1 0\n1 0\n"
+    path = tmp_path / "utf8.qdimacs"
+    path.write_bytes(text.encode("utf-8"))
+    assert parse(text.encode("utf-8")) == parse(text) == parse_file(path)
+
+
+def _mutate(rng: random.Random, data: bytes) -> bytes:
+    buffer = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(buffer) + 1)
+        operation = rng.randrange(5)
+        if operation == 0:
+            del buffer[at : at + 1]
+        elif operation == 1:
+            buffer[at:at] = buffer[at : at + 1]
+        elif operation == 2 and at < len(buffer):
+            buffer[at] ^= 1 << rng.randrange(8)
+        elif operation == 3:
+            buffer[at:at] = b"\xff"
+        else:
+            del buffer[at:]
+    return bytes(buffer)
+
+
+def test_mutated_documents_raise_only_intsplits_errors():
+    rng = random.Random(20260418)
+    corpus = [
+        "cs int [1 2] <3\np cnf 2 1\ne 1 2 0\n1 2 0\n",
+        "cs int <19\ncs int <19\ncs int <19\n" + PREFIX_15,
+        "cs int [1 2] ={01 10}\np cnf 2 1\na 1 2 0\n1 -2 0\n",
+        "cs int [1 2 3] <2;>6;={011}\np cnf 3 1\na 1 2 3 0\n1 2 3 0\n",
+        "cs int [2 3] ={01 10}\np cnf 3 1\n1 2 3 0\n",
+        "c note\r\np cnf 1 2\ne 1 0\n1 -1 0\n0\n",
+    ]
+    corpus += [write(random_annotated_formula(rng, require_correct=False)) for _ in range(6)]
+    seeds = [text.encode("utf-8") for text in corpus]
+    for case in range(10000):
+        data = _mutate(rng, rng.choice(seeds))
+        try:
+            parse(data, strict=case % 2 == 1)
+        except IntsplitsError:
+            pass

@@ -31,6 +31,7 @@ from intsplits import (
     read_manifest,
     sorted_annotations,
     split_formula,
+    subproblem_index,
     subproblem_name,
     verify_manifest,
     write,
@@ -161,6 +162,13 @@ def test_subproblem_name_padding():
     assert names == sorted(names)
 
 
+def test_subproblem_index_inverts_subproblem_name():
+    for index, count in [(0, 1), (3, 9), (12345, 32768)]:
+        assert subproblem_index(subproblem_name(index, count, "f-1.qdimacs")) == index
+    assert subproblem_index("plan.csv") is None
+    assert subproblem_index("-1-f.qdimacs") is None
+
+
 def test_emit_fig1_subproblems(tmp_path):
     chosen = plan(FIG1, 4)
     paths = split_formula(FIG1, chosen, tmp_path, "fig1.qdimacs")
@@ -174,7 +182,7 @@ def test_emit_fig1_subproblems(tmp_path):
     assert sub.annotations == ()
     assert all(block.kind is E for block in sub.prefix)
     expansion = list(enumerate_accounted(chosen))[3]
-    units = [c.to_ints() for c in sub.matrix.clauses[4:]]
+    units = list(sub.matrix.clauses[4:])
     assert units == [((v,) if bit else (-v,)) for v, bit in expansion.pairs]
 
 
