@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import shlex
 import subprocess
@@ -17,6 +18,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from pathlib import Path
+from typing import Callable
 
 from . import qdimacs
 from .errors import BudgetExceededError, DuplicateResultError, IntsplitsError, UnparsableRowError
@@ -214,11 +216,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     unknown = 0
     with results_path.open("a", newline="") as handle:
         writer = csv.writer(handle)
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             futures = [pool.submit(task, index) for index in pending]
             for future in as_completed(futures):
                 index, code, seconds = future.result()
                 writer.writerow([index, code, f"{seconds:.6f}"])
+                handle.flush()
                 if code == ResultCode.UNKNOWN.name:
                     unknown += 1
     _say(f"ran {len(pending)} tasks ({unknown} unknown), results in {results_path}")
@@ -276,6 +279,19 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive(kind: type[int] | type[float]) -> Callable[[str], int | float]:
+    """argparse type for a finite number of the given kind above zero."""
+
+    def convert(text: str) -> int | float:
+        value = kind(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite {kind.__name__} above 0")
+        return value
+
+    convert.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return convert
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="intsplits",
@@ -291,7 +307,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     split = commands.add_parser("split", help="expand a formula into sub-problem files")
     split.add_argument("formula")
-    split.add_argument("--depth", type=int, required=True, help="upper bound on expanded variables")
+    split.add_argument(
+        "--depth", type=_positive(int), required=True, help="upper bound on expanded variables"
+    )
     split.add_argument("--no-intsplits", action="store_true", help="plain variable-by-variable split")
     split.add_argument("--out", default=".", help="output directory (default: current)")
     split.add_argument("--force", action="store_true", help="overwrite existing sub-problem files")
@@ -300,8 +318,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = commands.add_parser("run", help="solve every sub-problem in a split directory")
     run.add_argument("dir")
-    run.add_argument("--jobs", type=int, default=1, help="concurrent tasks (default: 1)")
-    run.add_argument("--timeout", type=float, default=60.0, help="per-task seconds (default: 60)")
+    run.add_argument("--jobs", type=_positive(int), default=1, help="concurrent tasks (default: 1)")
+    run.add_argument(
+        "--timeout", type=_positive(float), default=60.0, help="per-task seconds (default: 60)"
+    )
     run.add_argument(
         "--solver",
         help="external solver command template with a {file} placeholder; "
@@ -313,17 +333,19 @@ def _build_parser() -> argparse.ArgumentParser:
     merge_cmd = commands.add_parser("merge", help="reduce results to the final verdict")
     merge_cmd.add_argument("formula")
     merge_cmd.add_argument("dir")
-    merge_cmd.add_argument("--depth", type=int, help="split depth (default: from plan.csv)")
+    merge_cmd.add_argument("--depth", type=_positive(int), help="split depth (default: from plan.csv)")
     merge_cmd.add_argument("--no-intsplits", action="store_true", help="directory was split in plain mode")
     merge_cmd.add_argument("--results", help="results CSV or log directory (default: <dir>/results.csv)")
     merge_cmd.add_argument("--time-model", choices=TIME_MODELS, default="paper")
-    merge_cmd.add_argument("--sequential-time", type=float, help="reference time for the speed-up row")
+    merge_cmd.add_argument(
+        "--sequential-time", type=_positive(float), help="reference time for the speed-up row"
+    )
     common(merge_cmd)
     merge_cmd.set_defaults(func=cmd_merge)
 
     stats = commands.add_parser("stats", help="annotation table and optional plan preview")
     stats.add_argument("formula")
-    stats.add_argument("--depth", type=int, help="preview the plan for this depth")
+    stats.add_argument("--depth", type=_positive(int), help="preview the plan for this depth")
     stats.add_argument("--no-intsplits", action="store_true")
     common(stats)
     stats.set_defaults(func=cmd_stats)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Collection
 
 from .errors import BudgetExceededError, FormulaError
 from .formula import (
@@ -99,7 +100,7 @@ class _Run:
 # One quantification step: kind, the variables it binds (MSB first) and the
 # integer values to branch on.  Plain Boolean variables are width-1 steps
 # over range(2), which coincides with the bit-by-bit semantics.
-_Step = tuple[QuantifierKind, tuple[int, ...], "range | list[int]"]
+_Step = tuple[QuantifierKind, tuple[int, ...], Collection[int]]
 
 
 def _plain_steps(formula: Formula) -> list[_Step]:

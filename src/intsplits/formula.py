@@ -11,11 +11,12 @@ functions, so values can be shared between threads without synchronization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     BlockMismatchError,
@@ -25,7 +26,6 @@ from .errors import (
 )
 
 __all__ = [
-    "ENUMERATION_WIDTH_LIMIT",
     "Assignment",
     "QuantifierKind",
     "Matrix",
@@ -47,12 +47,6 @@ __all__ = [
     "accounted_values",
     "apply_assignment",
 ]
-
-# Accounted expansions are counted by full enumeration up to this width.
-# Beyond it, single-constraint annotations fall back to exact closed forms
-# and multi-constraint annotations are rejected (their union would require
-# enumerating 2^width values).
-ENUMERATION_WIDTH_LIMIT = 20
 
 # Partial map from variable id to 0 or 1.
 Assignment = dict[int, int]
@@ -198,54 +192,33 @@ def bits_of(value: int, width: int) -> tuple[int, ...]:
     return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
 
 
-def _accounted_predicate(constraints: Sequence[Constraint]) -> Callable[[int], bool]:
-    """Union of the constraints as a predicate over integer values."""
-    tests: list[Callable[[int], bool]] = []
+def _intervals(width: int, constraints: Sequence[Constraint]) -> tuple[tuple[int, int], ...]:
+    """Union of the constraints as sorted, disjoint, non-adjacent half-open
+    intervals of integer values; fails if the union is empty."""
+    size = 1 << width
+    spans: list[tuple[int, int]] = []
     for c in constraints:
         if isinstance(c, Top):
-            return lambda value: True
-        if isinstance(c, Less):
-            tests.append(lambda value, b=c.bound: value < b)
+            spans.append((0, size))
+        elif isinstance(c, Less):
+            spans.append((0, min(c.bound, size)))
         elif isinstance(c, Greater):
-            tests.append(lambda value, b=c.bound: value > b)
+            spans.append((min(c.bound + 1, size), size))
         elif isinstance(c, InSet):
-            members = frozenset(integer_value(p) for p in c.patterns)
-            tests.append(lambda value, m=members: value in m)
+            spans.extend((v, v + 1) for v in map(integer_value, c.patterns))
         else:
             raise FormulaError(f"unknown constraint {c!r}")
-    return lambda value: any(test(value) for test in tests)
-
-
-def _count_expansions(width: int, constraints: Sequence[Constraint]) -> tuple[int, int]:
-    """Accounted/unaccounted expansion counts for a constraint list.
-
-    Enumerates all 2^width values up to ENUMERATION_WIDTH_LIMIT; beyond that
-    only single constraints are supported, via exact closed forms.
-    """
-    size = 1 << width
-    if any(isinstance(c, Top) for c in constraints):
-        s = size
-    elif width <= ENUMERATION_WIDTH_LIMIT:
-        accounted = _accounted_predicate(constraints)
-        s = sum(1 for value in range(size) if accounted(value))
-    elif len(constraints) == 1:
-        c = constraints[0]
-        if isinstance(c, Less):
-            s = min(c.bound, size)
-        elif isinstance(c, Greater):
-            s = size - min(c.bound + 1, size)
-        else:
-            s = len(c.patterns)  # InSet; widths already validated
-    else:
-        raise InvalidAnnotationError(
-            f"cannot combine {len(constraints)} constraints over a {width}-bit "
-            f"vector: enumeration is limited to width {ENUMERATION_WIDTH_LIMIT}"
-        )
-    if s == 0:
+    merged: list[tuple[int, int]] = []
+    for lo, hi in sorted(spans):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        elif lo < hi:
+            merged.append((lo, hi))
+    if not merged:
         raise InvalidAnnotationError(
             "annotation admits no accounted expansion; remove the quantifier instead"
         )
-    return s, size - s
+    return tuple(merged)
 
 
 @dataclass(frozen=True)
@@ -254,11 +227,14 @@ class AnnotatedQuantifier:
 
     An expansion is accounted as soon as at least one constraint in the list
     is satisfied.  Construction fails if no expansion is accounted.
+    `intervals` holds the accounted values as sorted, disjoint half-open
+    intervals; s, u, constraint_satisfied and accounted_values derive from it.
     """
 
     kind: QuantifierKind
     bitvector: BitVectorVar
     constraints: tuple[Constraint, ...]
+    intervals: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.constraints:
@@ -271,8 +247,7 @@ class AnnotatedQuantifier:
                             f"pattern {''.join(map(str, pattern))} has {len(pattern)} bits, "
                             f"bit-vector {self.bitvector.variables} has width {self.width}"
                         )
-        s, u = _count_expansions(self.width, self.constraints)
-        object.__setattr__(self, "_expansions", (s, u))
+        object.__setattr__(self, "intervals", _intervals(self.width, self.constraints))
 
     @property
     def width(self) -> int:
@@ -281,12 +256,12 @@ class AnnotatedQuantifier:
     @property
     def s(self) -> int:
         """Number of accounted expansions."""
-        return self._expansions[0]  # type: ignore[attr-defined]
+        return sum(hi - lo for lo, hi in self.intervals)
 
     @property
     def u(self) -> int:
         """Number of unaccounted expansions."""
-        return self._expansions[1]  # type: ignore[attr-defined]
+        return (1 << self.width) - self.s
 
     @property
     def eta(self) -> Fraction:
@@ -298,7 +273,7 @@ def constraint_satisfied(aq: AnnotatedQuantifier, bits: Sequence[int]) -> bool:
     """True iff at least one constraint of aq accepts the bit-vector."""
     if len(bits) != aq.width:
         raise ValueError(f"expected {aq.width} bits, got {len(bits)}")
-    return _accounted_predicate(aq.constraints)(integer_value(bits))
+    return integer_value(bits) in accounted_values(aq)
 
 
 def ae_count(aq: AnnotatedQuantifier) -> tuple[int, int]:
@@ -311,25 +286,31 @@ def efficiency(aq: AnnotatedQuantifier) -> Fraction:
     return aq.eta
 
 
-def accounted_values(aq: AnnotatedQuantifier) -> Sequence[int]:
+@dataclass(frozen=True)
+class _RangeChain:
+    """Several ranges read one after another, with their total length."""
+
+    ranges: tuple[range, ...]
+    length: int
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(self.ranges)
+
+    def __contains__(self, value: object) -> bool:
+        return any(value in r for r in self.ranges)
+
+
+def accounted_values(aq: AnnotatedQuantifier) -> Collection[int]:
     """Accounted expansions of aq as integer values in increasing order.
 
-    Returns a lazily indexable sequence (a range where possible) of exactly
-    aq.s values.
+    Returns a lazy, re-iterable collection of exactly aq.s values with O(1)
+    len(): a range for a single interval, a chain of ranges otherwise.
     """
-    size = 1 << aq.width
-    cs = aq.constraints
-    if any(isinstance(c, Top) for c in cs):
-        return range(size)
-    if len(cs) == 1:
-        c = cs[0]
-        if isinstance(c, Less):
-            return range(min(c.bound, size))
-        if isinstance(c, Greater):
-            return range(min(c.bound + 1, size), size)
-        return sorted(integer_value(p) for p in c.patterns)
-    accounted = _accounted_predicate(cs)
-    return [value for value in range(size) if accounted(value)]
+    ranges = tuple(range(lo, hi) for lo, hi in aq.intervals)
+    return ranges[0] if len(ranges) == 1 else _RangeChain(ranges, aq.s)
 
 
 def apply_assignment(matrix: Matrix, sigma: Mapping[int, int]) -> Matrix:

@@ -21,7 +21,7 @@ import csv
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
+from itertools import groupby, product
 from math import prod
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -158,20 +158,12 @@ def enumerate_accounted(split_plan: SplitPlan) -> Iterator[ExpansionIndex]:
     """All accounted assignments, lexicographic over the concatenated
     bit-vectors in plan order (MSB first, last vector varies fastest)."""
     quantifiers = split_plan.quantifiers
-    value_seqs = [accounted_values(aq) for aq in quantifiers]
     var_groups = [aq.bitvector.variables for aq in quantifiers]
-    counters = [0] * len(quantifiers)
-    total = count_subproblems(split_plan)
-    for index in range(total):
+    for index, values in enumerate(product(*map(accounted_values, quantifiers))):
         pairs: list[tuple[int, int]] = []
-        for variables, values, at in zip(var_groups, value_seqs, counters):
-            pairs.extend(zip(variables, bits_of(values[at], len(variables))))
+        for variables, value in zip(var_groups, values):
+            pairs.extend(zip(variables, bits_of(value, len(variables))))
         yield ExpansionIndex(index, tuple(pairs))
-        for level in range(len(counters) - 1, -1, -1):
-            counters[level] += 1
-            if counters[level] < len(value_seqs[level]):
-                break
-            counters[level] = 0
 
 
 def subproblem_name(index: int, count: int, original_name: str) -> str:

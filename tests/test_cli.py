@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import intsplits
 from intsplits.cli import main
 
 FIG1_TEXT = (
@@ -265,3 +270,64 @@ def test_manifest_bytes_that_are_not_utf8(fig1, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("plan.csv: row 11 has 1 fields") == 2
     assert "Traceback" not in err
+
+
+def _usage_error(capsys, *args):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exited:
+        run_cli(*args)
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("command", ["split", "stats", "merge"])
+def test_depth_below_one_is_a_usage_error(command, fig1, tmp_path, capsys):
+    out = tmp_path / "out"
+    run_cli("split", fig1, "--depth", 4, "--out", out)
+    args = {"split": ("split", fig1, "--out", tmp_path / "zero"), "stats": ("stats", fig1)}
+    err = _usage_error(capsys, *args.get(command, ("merge", fig1, out)), "--depth", 0)
+    assert "--depth: '0' is not a finite int above 0" in err
+    assert not (tmp_path / "zero").exists()
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--timeout", -1), ("--timeout", 0), ("--timeout", "nan"), ("--timeout", "inf"), ("--jobs", 0)],
+)
+def test_run_rejects_out_of_range_numbers(option, value, fig1, tmp_path, capsys):
+    out = tmp_path / "out"
+    run_cli("split", fig1, "--depth", 4, "--out", out)
+    err = _usage_error(capsys, "run", out, option, value)
+    assert f"argument {option}: '{value}' is not a finite" in err
+    assert not (out / "results.csv").exists()
+
+
+def test_merge_rejects_a_sequential_time_below_zero(fig1, tmp_path, capsys):
+    out = tmp_path / "out"
+    run_cli("split", fig1, "--depth", 4, "--out", out)
+    run_cli("run", out)
+    err = _usage_error(capsys, "merge", fig1, out, "--sequential-time", -3)
+    assert "--sequential-time: '-3' is not a finite float above 0" in err
+    assert not (out / "merge_report.txt").exists()
+
+
+def test_rows_finished_before_a_kill_survive_it(tmp_path):
+    formula = tmp_path / "three.qdimacs"
+    formula.write_text("cs int [1 2] <3\np cnf 2 1\ne 1 2 0\n1 2 0\n")
+    out = tmp_path / "out"
+    assert run_cli("split", formula, "--depth", 2, "--out", out) == 0
+    # The solver kills the runner on task 2; tasks 0 and 1 end false.
+    solver = 'sh -c "case {file} in *0002-*) sleep 1; kill -9 $PPID;; esac; exit 20"'
+    env = {**os.environ, "PYTHONPATH": str(Path(intsplits.__file__).parents[1])}
+    killed = subprocess.run(
+        [sys.executable, "-m", "intsplits.cli", "run", str(out), "--jobs", "1", "--solver", solver],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert killed.returncode == -signal.SIGKILL
+    rows = (out / "results.csv").read_text().splitlines()
+    assert rows[0] == "index,result,time_seconds"
+    assert [row.split(",")[:2] for row in rows[1:]] == [["0", "FALSE"], ["1", "FALSE"]]

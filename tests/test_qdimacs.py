@@ -128,6 +128,14 @@ def test_semicolon_lists_and_commas_in_patterns():
     assert annotation.s == 7
 
 
+def test_constraint_lists_combine_on_wide_vectors():
+    variables = " ".join(str(v) for v in range(1, 25))
+    formula = parse(f"cs int [{variables}] <3;>5\np cnf 24 1\ne {variables} 0\n1 0\n")
+    (annotation,) = formula.annotations
+    assert annotation.s == 2**24 - 3
+    assert annotation.u == 3
+
+
 def test_spaced_grammar_tokens_accepted():
     formula = parse(
         "cs int [ 1 2 ] < 3\np cnf 2 1\ne 1 2 0\n1 0\n"
