@@ -18,6 +18,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from pathlib import Path
+from subprocess import DEVNULL
 from typing import Callable
 
 from . import qdimacs
@@ -50,6 +51,7 @@ from .splitter import (
 )
 
 RESULTS_NAME = "results.csv"
+_EXIT_CODES = {10: ResultCode.TRUE, 20: ResultCode.FALSE}
 
 
 def _say(message: str) -> None:
@@ -115,32 +117,25 @@ def cmd_split(args: argparse.Namespace) -> int:
     return 0
 
 
-def _builtin_task(path: Path, timeout: float, strict: bool) -> tuple[str, float]:
+def _solve(path: Path, solver: list[str] | None, timeout: float, strict: bool) -> ResultTuple:
+    """Solve one sub-problem with the built-in oracle (`solver` None) or a
+    solver argv, with `path` put for `{file}`, that exits 10 for true and 20
+    for false.  Anything else is UNKNOWN, timed min(elapsed, timeout)."""
     started = time.monotonic()
-    budget = EvalBudget(deadline=started + timeout)
+    code = ResultCode.UNKNOWN
     try:
-        value = evaluate(qdimacs.parse_file(path, strict=strict), budget)
-    except (IntsplitsError, OSError):
-        elapsed = time.monotonic() - started
-        return ResultCode.UNKNOWN.name, timeout if elapsed >= timeout else elapsed
-    return (ResultCode.TRUE if value else ResultCode.FALSE).name, time.monotonic() - started
-
-
-def _external_task(template: str, path: Path, timeout: float) -> tuple[str, float]:
-    command = [token.replace("{file}", str(path)) for token in shlex.split(template)]
-    started = time.monotonic()
-    try:
-        proc = subprocess.run(command, capture_output=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return ResultCode.UNKNOWN.name, timeout
-    except OSError:
-        return ResultCode.UNKNOWN.name, time.monotonic() - started
+        if solver is None:
+            formula = qdimacs.parse_file(path, strict=strict)
+            value = evaluate(formula, EvalBudget(deadline=started + timeout))
+            code = ResultCode.TRUE if value else ResultCode.FALSE
+        else:
+            command = [token.replace("{file}", str(path)) for token in solver]
+            ended = subprocess.run(command, stdout=DEVNULL, stderr=DEVNULL, timeout=timeout)
+            code = _EXIT_CODES.get(ended.returncode, ResultCode.UNKNOWN)
+    except (IntsplitsError, OSError, subprocess.TimeoutExpired):
+        pass
     elapsed = time.monotonic() - started
-    if proc.returncode == 10:
-        return ResultCode.TRUE.name, elapsed
-    if proc.returncode == 20:
-        return ResultCode.FALSE.name, elapsed
-    return ResultCode.UNKNOWN.name, elapsed
+    return ResultTuple(code, min(elapsed, timeout) if code is ResultCode.UNKNOWN else elapsed)
 
 
 def _subproblem_files(directory: Path) -> dict[int, Path]:
@@ -182,6 +177,10 @@ def _existing_results(path: Path) -> tuple[dict[int, ResultTuple], bool]:
     return done, intact and last.endswith("\n")
 
 
+def _row(index: int, result: ResultTuple) -> list:
+    return [index, result.code.name, f"{result.time:.6f}"]
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     directory = Path(args.dir)
     manifest = read_manifest(directory / MANIFEST_NAME)
@@ -197,13 +196,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if done:
         _say(f"resuming: {len(done)} results present, {len(pending)} tasks left")
 
-    def task(index: int) -> tuple[int, str, float]:
-        if args.solver:
-            code, seconds = _external_task(args.solver, files[index], args.timeout)
-        else:
-            code, seconds = _builtin_task(files[index], args.timeout, args.strict)
-        return index, code, seconds
-
     if not intact:
         # Write the header and the kept rows beside the file and swap it in,
         # so no kill can lose a finished result.
@@ -211,19 +203,25 @@ def cmd_run(args: argparse.Namespace) -> int:
         with scratch.open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["index", "result", "time_seconds"])
-            writer.writerows([i, r.code.name, f"{r.time:.6f}"] for i, r in done.items())
+            writer.writerows(_row(index, result) for index, result in done.items())
         os.replace(scratch, results_path)
     unknown = 0
     with results_path.open("a", newline="") as handle:
         writer = csv.writer(handle)
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(task, index) for index in pending]
+        pool = ThreadPoolExecutor(max_workers=args.jobs)
+        try:
+            futures = {
+                pool.submit(_solve, files[index], args.solver, args.timeout, args.strict): index
+                for index in pending
+            }
             for future in as_completed(futures):
-                index, code, seconds = future.result()
-                writer.writerow([index, code, f"{seconds:.6f}"])
+                result = future.result()
+                writer.writerow(_row(futures[future], result))
                 handle.flush()
-                if code == ResultCode.UNKNOWN.name:
-                    unknown += 1
+                unknown += result.code is ResultCode.UNKNOWN
+        finally:
+            # On Ctrl-C or an error, drop the queued tasks instead of running them.
+            pool.shutdown(cancel_futures=True)
     _say(f"ran {len(pending)} tasks ({unknown} unknown), results in {results_path}")
     return 0
 
@@ -292,6 +290,20 @@ def _positive(kind: type[int] | type[float]) -> Callable[[str], int | float]:
     return convert
 
 
+def _solver_command(template: str) -> list[str]:
+    """argparse type: a solver command template split into its argv, with
+    `{file}` in at least one token."""
+    try:
+        command = shlex.split(template)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{template!r}: {exc}") from None
+    if not command:
+        raise argparse.ArgumentTypeError("the solver command is empty")
+    if not any("{file}" in token for token in command):
+        raise argparse.ArgumentTypeError(f"{template!r} has no {{file}} placeholder")
+    return command
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="intsplits",
@@ -324,6 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--solver",
+        type=_solver_command,
         help="external solver command template with a {file} placeholder; "
         "exit 10 means true, 20 means false (default: built-in evaluator)",
     )
@@ -369,6 +382,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except KeyboardInterrupt:
+        _say("interrupted")
+        return 130
     except BudgetExceededError as exc:
         _say(f"budget exceeded: {exc}")
         return 2

@@ -27,10 +27,8 @@ from pathlib import Path
 
 from .errors import (
     AmbiguousImplicitError,
-    BlockMismatchError,
     DimacsModeViolationError,
-    FormulaError,
-    InvalidAnnotationError,
+    IntsplitsError,
     MalformedHeaderError,
     ParseError,
     PatternWidthMismatchError,
@@ -70,8 +68,10 @@ class RawSplit:
 class SourceDocument:
     """Syntactic skeleton of one (Q)DIMACS file.
 
-    Splits appear only in the preamble and the clause count always matches
-    the header; both are enforced while scanning.
+    Splits appear only in the preamble, the clause count always matches
+    the header, and every clause literal and prefix variable names a
+    declared variable, quantified at most once; all are enforced while
+    scanning.
     """
 
     variable_count: int
@@ -82,15 +82,14 @@ class SourceDocument:
     clause_rows: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def _pnum(token: str, line_no: int, what: str = "variable") -> int:
+def _pnum(token: str, line_no: int, what: str = "variable", limit: int = _INT32_MAX) -> int:
     try:
         value = int(token)
     except ValueError:
         raise ParseError(f"line {line_no}: expected a positive integer {what}, got {token!r}") from None
-    if not 1 <= value <= _INT32_MAX:
-        raise ParseError(
-            f"line {line_no}: {what} {value} outside the accepted 32-bit range"
-        )
+    if not 1 <= value <= limit:
+        accepted = "32-bit range" if limit == _INT32_MAX else f"range 1..{limit}"
+        raise ParseError(f"line {line_no}: {what} {value} outside the accepted {accepted}")
     return value
 
 
@@ -109,7 +108,9 @@ def _parse_header(line: str, line_no: int) -> tuple[int, int]:
 
 def _parse_split(line: str, line_no: int) -> RawSplit:
     # Brackets, braces and semicolons may be glued to their neighbours;
-    # commas inside pattern sets are treated as plain whitespace.
+    # commas inside pattern sets are treated as plain whitespace.  A listed
+    # w-bit vector raises the caps on bounds to 2^w and on patterns to w
+    # bits, so every annotation `write` emits parses.
     text = line[2:]
     for ch in "[]{};":
         text = text.replace(ch, f" {ch} ")
@@ -130,6 +131,9 @@ def _parse_split(line: str, line_no: int) -> RawSplit:
             raise ParseError(f"line {line_no}: empty variable list '[]'")
         i += 1
         variables = tuple(listed)
+    width = len(variables) if variables else 0
+    bound_limit = max(_INT32_MAX, 1 << width)
+    pattern_limit = max(_MAX_PATTERN_BITS, width)
 
     constraints: list[Constraint] = []
     while i < len(tokens):
@@ -144,7 +148,7 @@ def _parse_split(line: str, line_no: int) -> RawSplit:
                 if i >= len(tokens):
                     raise ParseError(f"line {line_no}: bound missing after {token!r}")
                 rest = tokens[i]
-            bound = _pnum(rest, line_no, "bound")
+            bound = _pnum(rest, line_no, "bound", bound_limit)
             constraints.append(Less(bound) if token[0] == "<" else Greater(bound))
             i += 1
         elif token == "=":
@@ -160,10 +164,8 @@ def _parse_split(line: str, line_no: int) -> RawSplit:
                 pattern = tokens[i]
                 if not pattern or any(ch not in "01" for ch in pattern):
                     raise ParseError(f"line {line_no}: bit pattern {pattern!r} must be 0/1 only")
-                if len(pattern) > _MAX_PATTERN_BITS:
-                    raise ParseError(
-                        f"line {line_no}: bit pattern longer than {_MAX_PATTERN_BITS} bits"
-                    )
+                if len(pattern) > pattern_limit:
+                    raise ParseError(f"line {line_no}: bit pattern longer than {pattern_limit} bits")
                 patterns.append(tuple(int(ch) for ch in pattern))
                 i += 1
             if i >= len(tokens):
@@ -179,15 +181,18 @@ def _parse_split(line: str, line_no: int) -> RawSplit:
     return RawSplit(line_no, variables, tuple(constraints))
 
 
-def _parse_clause(line: str, line_no: int) -> tuple[int, ...]:
+def _parse_clause(line: str, line_no: int, variable_count: int) -> tuple[int, ...]:
     values: list[int] = []
     for token in line.split():
         try:
             value = int(token)
         except ValueError:
             raise ParseError(f"line {line_no}: clause token {token!r} is not an integer") from None
-        if abs(value) > _INT32_MAX:
-            raise ParseError(f"line {line_no}: literal {value} outside the 32-bit range")
+        if abs(value) > variable_count:
+            raise UnknownVariableError(
+                f"line {line_no}: clause references variable {abs(value)} beyond "
+                f"declared count {variable_count}"
+            )
         values.append(value)
     if not values or values[-1] != 0:
         raise ParseError(f"line {line_no}: clause lines must end with 0")
@@ -199,10 +204,13 @@ def _parse_clause(line: str, line_no: int) -> tuple[int, ...]:
 
 def scan(text: str, strict: bool = False) -> SourceDocument:
     """First pass: split the file into header, comments, annotations,
-    prefix rows and clause rows, checking purely syntactic rules."""
+    prefix rows and clause rows.  Besides the syntax it checks every clause
+    literal and prefix variable against the header's variable count, which
+    precedes them, and that no variable is quantified twice."""
     comments: list[str] = []
     splits: list[RawSplit] = []
     header: tuple[int, int] | None = None
+    quantified: set[int] = set()
     prefix_rows: list[tuple[int, QuantifierKind, tuple[int, ...]]] = []
     clause_rows: list[tuple[int, tuple[int, ...]]] = []
 
@@ -248,10 +256,19 @@ def scan(text: str, strict: bool = False) -> SourceDocument:
                         f"line {line_no}: quantifier lines are '<e|a> <var>+ 0'"
                     )
                 variables = tuple(_pnum(t, line_no) for t in tokens[1:-1])
+                for v in variables:
+                    if v > header[0]:
+                        raise UnknownVariableError(
+                            f"line {line_no}: quantified variable {v} beyond declared "
+                            f"count {header[0]}"
+                        )
+                    if v in quantified:
+                        raise ParseError(f"line {line_no}: variable {v} quantified twice")
+                    quantified.add(v)
                 kind = QuantifierKind.EXISTS if token == "e" else QuantifierKind.FORALL
                 prefix_rows.append((line_no, kind, variables))
             else:
-                clause_rows.append((line_no, _parse_clause(line, line_no)))
+                clause_rows.append((line_no, _parse_clause(line, line_no, header[0])))
 
     if header is None:
         raise MalformedHeaderError("problem line 'p cnf <vars> <clauses>' not found")
@@ -278,19 +295,19 @@ def _implicit_width(split: RawSplit) -> int:
     if pattern_widths:
         if len(pattern_widths) > 1:
             raise PatternWidthMismatchError(
-                f"line {split.line_no}: patterns of different lengths; width is ambiguous"
+                "patterns of different lengths; width is ambiguous"
             )
         return pattern_widths.pop()
     if any(isinstance(c, Greater) for c in split.constraints):
         raise AmbiguousImplicitError(
-            f"line {split.line_no}: the accounted count of '>' depends on the "
+            "the accounted count of '>' depends on the "
             f"bit-vector width; list the variables explicitly"
         )
     # All-'<' list: s equals the largest bound, width is ceil(log2 s).
     s = max(c.bound for c in split.constraints if isinstance(c, Less))
     if s < 2:
         raise AmbiguousImplicitError(
-            f"line {split.line_no}: bound <{s} resolves to an empty bit-vector; "
+            f"bound <{s} resolves to an empty bit-vector; "
             f"list the variables explicitly"
         )
     return (s - 1).bit_length()
@@ -303,13 +320,6 @@ def _normalize_clause(body: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _build(doc: SourceDocument) -> Formula:
-    for line_no, body in doc.clause_rows:
-        for value in body:
-            if abs(value) > doc.variable_count:
-                raise UnknownVariableError(
-                    f"line {line_no}: clause references variable {abs(value)} beyond "
-                    f"declared count {doc.variable_count}"
-                )
     matrix = Matrix(
         tuple(_normalize_clause(body) for _, body in doc.clause_rows),
         doc.variable_count,
@@ -317,70 +327,35 @@ def _build(doc: SourceDocument) -> Formula:
 
     # Merge consecutive rows of the same kind into one block.
     blocks: list[QuantifierBlock] = []
-    seen_vars: set[int] = set()
-    for line_no, kind, variables in doc.prefix_rows:
-        for v in variables:
-            if v > doc.variable_count:
-                raise UnknownVariableError(
-                    f"line {line_no}: quantified variable {v} beyond declared "
-                    f"count {doc.variable_count}"
-                )
-            if v in seen_vars:
-                raise ParseError(f"line {line_no}: variable {v} quantified twice")
-            seen_vars.add(v)
+    for _, kind, variables in doc.prefix_rows:
         if blocks and blocks[-1].kind is kind:
             blocks[-1] = QuantifierBlock(kind, blocks[-1].variables + variables)
         else:
             blocks.append(QuantifierBlock(kind, variables))
 
     annotations: list[AnnotatedQuantifier] = []
-    if blocks:
-        cursor = AnnotationCursor(blocks)
-        for split in doc.splits:
-            if split.variables is not None:
-                for v in split.variables:
-                    if v > doc.variable_count:
-                        raise UnknownVariableError(
-                            f"line {split.line_no}: annotated variable {v} beyond "
-                            f"declared count {doc.variable_count}"
-                        )
-                try:
-                    bitvector = BitVectorVar(split.variables)
-                    kind = cursor.place(bitvector.variables)
-                except (BlockMismatchError, FormulaError) as exc:
-                    raise type(exc)(f"line {split.line_no}: {exc}") from None
-            else:
-                width = _implicit_width(split)
-                try:
-                    variables, kind = cursor.take(width)
-                except BlockMismatchError as exc:
-                    raise BlockMismatchError(f"line {split.line_no}: {exc}") from None
-                bitvector = BitVectorVar(variables)
-            try:
-                annotations.append(AnnotatedQuantifier(kind, bitvector, split.constraints))
-            except (InvalidAnnotationError, PatternWidthMismatchError) as exc:
-                raise type(exc)(f"line {split.line_no}: {exc}") from None
-    else:
-        for split in doc.splits:
-            if split.variables is None:
-                raise DimacsModeViolationError(
-                    f"line {split.line_no}: implicit variable lists need a quantifier "
-                    f"prefix; prefix-free files must list all bit-vector variables"
-                )
-            for v in split.variables:
+    cursor = AnnotationCursor(blocks)
+    for split in doc.splits:
+        try:
+            for v in split.variables or ():
                 if v > doc.variable_count:
                     raise UnknownVariableError(
-                        f"line {split.line_no}: annotated variable {v} beyond "
-                        f"declared count {doc.variable_count}"
+                        f"annotated variable {v} beyond declared count {doc.variable_count}"
                     )
-            try:
-                annotations.append(
-                    AnnotatedQuantifier(
-                        QuantifierKind.EXISTS, BitVectorVar(split.variables), split.constraints
-                    )
+            if split.variables is not None:
+                bitvector = BitVectorVar(split.variables)
+                kind = cursor.place(bitvector.variables) if blocks else QuantifierKind.EXISTS
+            elif blocks:
+                variables, kind = cursor.take(_implicit_width(split))
+                bitvector = BitVectorVar(variables)
+            else:
+                raise DimacsModeViolationError(
+                    "implicit variable lists need a quantifier prefix; "
+                    "prefix-free files must list all bit-vector variables"
                 )
-            except (InvalidAnnotationError, PatternWidthMismatchError, FormulaError) as exc:
-                raise type(exc)(f"line {split.line_no}: {exc}") from None
+            annotations.append(AnnotatedQuantifier(kind, bitvector, split.constraints))
+        except IntsplitsError as exc:
+            raise type(exc)(f"line {split.line_no}: {exc}") from None
 
     return Formula(matrix, tuple(blocks), tuple(annotations))
 

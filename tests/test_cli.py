@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -176,6 +177,61 @@ def test_run_timeout_records_unknown_with_budget(fig1, tmp_path):
     assert all(abs(float(row.split(",")[2]) - 0.2) < 1e-6 for row in rows)
 
 
+def _quantified_chain(path: Path, universals: int) -> Path:
+    """A true formula whose oracle search visits every universal branch:
+    `universals` universal variables, then one existential."""
+    n = universals + 1
+    prefix = " ".join(str(v) for v in range(1, n))
+    path.write_text(
+        f"cs int [1 2] <3\np cnf {n} 2\na {prefix} 0\ne {n} 0\n{n - 1} {n} 0\n-{n - 1} -{n} 0\n"
+    )
+    return path
+
+
+@pytest.mark.parametrize(
+    "universals, solver, timeout, timed_out",
+    [
+        (22, "{missing} {{file}}", 30.0, False),  # solver binary not found
+        (22, "{python} -c 'import sys; sys.exit(3)' {{file}}", 30.0, False),  # exit code 3
+        (29, None, 30.0, False),  # 30 variables, over the oracle's budget of 25
+        (22, None, 0.2, True),  # 2^22 branches, past the oracle's deadline
+    ],
+    ids=["missing-solver", "exit-code-3", "oracle-budget", "oracle-deadline"],
+)
+def test_run_outcomes_recorded_as_unknown(universals, solver, timeout, timed_out, tmp_path):
+    formula = _quantified_chain(tmp_path / "chain.qdimacs", universals)
+    out = tmp_path / "out"
+    assert run_cli("split", formula, "--depth", 2, "--out", out) == 0
+    args = ["run", out, "--jobs", 3, "--timeout", timeout]
+    if solver:
+        args += ["--solver", solver.format(missing=tmp_path / "no-solver", python=sys.executable)]
+    assert run_cli(*args) == 0
+    rows = [row.split(",") for row in (out / "results.csv").read_text().splitlines()[1:]]
+    assert sorted(index for index, _, _ in rows) == ["0", "1", "2"]
+    assert {code for _, code, _ in rows} == {"UNKNOWN"}
+    if timed_out:
+        assert {seconds for _, _, seconds in rows} == {f"{timeout:.6f}"}
+    else:
+        assert all(float(seconds) < timeout for _, _, seconds in rows)
+
+
+@pytest.mark.parametrize(
+    "template, message",
+    [
+        ("'oops {file}", "No closing quotation"),
+        (" ", "the solver command is empty"),
+        ("", "the solver command is empty"),
+        ("true", "'true' has no {file} placeholder"),
+    ],
+)
+def test_run_rejects_bad_solver_templates(template, message, fig1, tmp_path, capsys):
+    out = tmp_path / "out"
+    run_cli("split", fig1, "--depth", 4, "--out", out)
+    err = _usage_error(capsys, "run", out, "--solver", template)
+    assert "argument --solver: " in err and message in err
+    assert not (out / "results.csv").exists()
+
+
 def test_run_resumes_existing_results(fig1, tmp_path, capsys):
     out = tmp_path / "out"
     run_cli("split", fig1, "--depth", 4, "--out", out)
@@ -331,3 +387,39 @@ def test_rows_finished_before_a_kill_survive_it(tmp_path):
     rows = (out / "results.csv").read_text().splitlines()
     assert rows[0] == "index,result,time_seconds"
     assert [row.split(",")[:2] for row in rows[1:]] == [["0", "FALSE"], ["1", "FALSE"]]
+
+
+def test_ctrl_c_stops_run_and_keeps_finished_rows(fig1, tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("split", fig1, "--depth", 4, "--out", out) == 0
+    results = out / "results.csv"
+    env = {**os.environ, "PYTHONPATH": str(Path(intsplits.__file__).parents[1])}
+    # Nine one-second tasks, one at a time; Python turns SIGINT into
+    # KeyboardInterrupt only if the signal is not ignored when it starts.
+    child = subprocess.Popen(
+        [sys.executable, "-m", "intsplits.cli", "run", str(out), "--jobs", "1",
+         "--solver", "sh -c 'sleep 1; exit 20' {file}"],
+        env=env,
+        stderr=subprocess.PIPE,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline and (
+        not results.exists() or len(results.read_text().splitlines()) < 2
+    ):
+        time.sleep(0.02)
+    child.send_signal(signal.SIGINT)
+    interrupted = time.monotonic()
+    _, err = child.communicate(timeout=60)
+    # The task running at the signal may finish; the seven queued ones
+    # would take seven more seconds.
+    assert time.monotonic() - interrupted < 4
+    assert child.returncode == 130
+    assert err.decode().strip().splitlines()[-1] == "interrupted"
+    assert b"Traceback" not in err
+    rows = results.read_text().splitlines()
+    assert rows[0] == "index,result,time_seconds"
+    assert 1 <= len(rows) - 1 <= 2
+    assert all(row.split(",")[1] == "FALSE" and float(row.split(",")[2]) >= 1 for row in rows[1:])
+    assert run_cli("run", out, "--solver", "sh -c 'exit 20' {file}") == 0
+    assert len(results.read_text().splitlines()) == 10

@@ -188,6 +188,83 @@ def test_structure_errors():
         parse("p cnf 2 1\ne 1 0\n1 2 0\n")  # free variable with prefix
 
 
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("p cnf 2 1\n1 3 0\n", UnknownVariableError,
+         "line 2: clause references variable 3 beyond declared count 2"),
+        ("cs int [1 5] <3\np cnf 2 1\ne 1 2 0\n1 0\n", UnknownVariableError,
+         "line 1: annotated variable 5 beyond declared count 2"),
+        ("p cnf 2 1\ne 1 2 3 0\n1 0\n", UnknownVariableError,
+         "line 2: quantified variable 3 beyond declared count 2"),
+        ("p cnf 2 1\ncs int [1] <2\n1 0\n", ParseError,
+         "line 2: annotations must appear before the problem line"),
+        ("p cnf 2 2\n1 0\ne 1 2 0\n-1 0\n", ParseError,
+         "line 3: quantifier line after the first clause; the prefix must precede the matrix"),
+        ("p cnf 2 1\n1 2\n", ParseError, "line 2: clause lines must end with 0"),
+        ("p cnf 2 1\n1 0 2 0\n", ParseError, "line 2: embedded 0; one clause per line"),
+        ("p cnf 2 1\ne 1 2 0\n1 0\nx bogus\n", ParseError,
+         "line 4: clause token 'x' is not an integer"),
+        ("p cnf 1 1\ne 1 0\ne 1 0\n1 0\n", ParseError, "line 3: variable 1 quantified twice"),
+        ("p cnf 2 1\ne 1 0\n1 2 0\n", FormulaError,
+         "free variable 2 in matrix; only closed formulas are supported"),
+        ("cs int ={01 1}\n" + PREFIX_15, PatternWidthMismatchError,
+         "line 1: patterns of different lengths; width is ambiguous"),
+        ("cs int >2\n" + PREFIX_15, AmbiguousImplicitError,
+         "line 1: the accounted count of '>' depends on the bit-vector width; "
+         "list the variables explicitly"),
+        ("cs int <1\n" + PREFIX_15, AmbiguousImplicitError,
+         "line 1: bound <1 resolves to an empty bit-vector; list the variables explicitly"),
+        ("cs int <19\np cnf 5 1\ne 1 2 3 0\na 4 5 0\n1 0\n", BlockMismatchError,
+         "line 1: implicit bit-vector needs 5 variables but quantifier block 1 only has 3 left"),
+        ("p cnf 2 1\n3000000000 0\n", UnknownVariableError,
+         "line 2: clause references variable 3000000000 beyond declared count 2"),
+    ],
+)
+def test_single_defect_messages(text, error, message):
+    with pytest.raises(error) as raised:
+        parse(text)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
+def _wide_formula(width: int, constraint) -> Formula:
+    variables = tuple(range(1, width + 1))
+    annotation = AnnotatedQuantifier(E, BitVectorVar(variables), (constraint,))
+    return Formula(
+        Matrix.from_ints([(1,)], width), (QuantifierBlock(E, variables),), (annotation,)
+    )
+
+
+@pytest.mark.parametrize(
+    "width, constraint, written_as",
+    [
+        (40, Less(2**35), None),
+        (32, Greater(2**32 - 5), None),
+        (40, InSet.of((1,) + (0,) * 38 + (1,)), None),
+        (31, Top(), Less(2**31)),
+        (32, Top(), Less(2**32)),
+        (40, Top(), Less(2**40)),
+    ],
+)
+def test_wide_listed_annotations_round_trip(width, constraint, written_as):
+    formula = _wide_formula(width, constraint)
+    reparsed = parse(write(formula))
+    assert reparsed == _wide_formula(width, written_as or constraint)
+    assert reparsed.annotations[0].intervals == formula.annotations[0].intervals
+
+
+def test_listed_width_raises_the_limits_to_its_range_only():
+    wide = " ".join(str(v) for v in range(1, 41))
+    tail = f"\np cnf 40 1\ne {wide} 0\n1 0\n"
+    with pytest.raises(ParseError, match=f"bound {2**40 + 1} outside the accepted range"):
+        parse(f"cs int [{wide}] <{2**40 + 1}" + tail)
+    with pytest.raises(ParseError, match="bit pattern longer than 40 bits"):
+        parse(f"cs int [{wide}] ={{{'0' * 41}}}" + tail)
+    with pytest.raises(ParseError, match="bit pattern longer than 32 bits"):
+        parse(f"cs int ={{{'0' * 33}}}" + tail)
+
+
 def test_32bit_limits():
     with pytest.raises(ParseError):
         parse("p cnf 2147483648 0\n")
