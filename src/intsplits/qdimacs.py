@@ -165,7 +165,9 @@ def _parse_split(line: str, line_no: int) -> RawSplit:
                 if not pattern or any(ch not in "01" for ch in pattern):
                     raise ParseError(f"line {line_no}: bit pattern {pattern!r} must be 0/1 only")
                 if len(pattern) > pattern_limit:
-                    raise ParseError(f"line {line_no}: bit pattern longer than {pattern_limit} bits")
+                    raise ParseError(
+                        f"line {line_no}: bit pattern longer than {pattern_limit} bits"
+                    )
                 patterns.append(tuple(int(ch) for ch in pattern))
                 i += 1
             if i >= len(tokens):
@@ -287,28 +289,25 @@ def scan(text: str, strict: bool = False) -> SourceDocument:
     )
 
 
-def _implicit_width(split: RawSplit) -> int:
+def _implicit_width(constraints: tuple[Constraint, ...]) -> int:
     """Bit-vector width for an annotation without an explicit variable list."""
     pattern_widths = {
-        len(p) for c in split.constraints if isinstance(c, InSet) for p in c.patterns
+        len(p) for c in constraints if isinstance(c, InSet) for p in c.patterns
     }
     if pattern_widths:
         if len(pattern_widths) > 1:
-            raise PatternWidthMismatchError(
-                "patterns of different lengths; width is ambiguous"
-            )
+            raise PatternWidthMismatchError("patterns of different lengths; width is ambiguous")
         return pattern_widths.pop()
-    if any(isinstance(c, Greater) for c in split.constraints):
+    if any(isinstance(c, Greater) for c in constraints):
         raise AmbiguousImplicitError(
-            "the accounted count of '>' depends on the "
-            f"bit-vector width; list the variables explicitly"
+            "the accounted count of '>' depends on the bit-vector width; "
+            "list the variables explicitly"
         )
     # All-'<' list: s equals the largest bound, width is ceil(log2 s).
-    s = max(c.bound for c in split.constraints if isinstance(c, Less))
+    s = max(c.bound for c in constraints if isinstance(c, Less))
     if s < 2:
         raise AmbiguousImplicitError(
-            f"bound <{s} resolves to an empty bit-vector; "
-            f"list the variables explicitly"
+            f"bound <{s} resolves to an empty bit-vector; list the variables explicitly"
         )
     return (s - 1).bit_length()
 
@@ -346,7 +345,7 @@ def _build(doc: SourceDocument) -> Formula:
                 bitvector = BitVectorVar(split.variables)
                 kind = cursor.place(bitvector.variables) if blocks else QuantifierKind.EXISTS
             elif blocks:
-                variables, kind = cursor.take(_implicit_width(split))
+                variables, kind = cursor.take(_implicit_width(split.constraints))
                 bitvector = BitVectorVar(variables)
             else:
                 raise DimacsModeViolationError(
