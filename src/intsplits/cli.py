@@ -13,8 +13,10 @@ import csv
 import math
 import os
 import shlex
+import signal
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from pathlib import Path
@@ -26,6 +28,7 @@ from .errors import BudgetExceededError, DuplicateResultError, IntsplitsError, U
 from .evaluator import EvalBudget, check_correctness, evaluate, evaluate_with_intsplits
 from .formula import Formula
 from .merger import (
+    RESULTS_HEADER,
     ResultCode,
     TIME_MODELS,
     ResultTuple,
@@ -35,6 +38,7 @@ from .merger import (
     merge,
     parse_result_row,
     render_certificate,
+    result_row,
     speedup_report,
 )
 from .splitter import (
@@ -117,10 +121,59 @@ def cmd_split(args: argparse.Namespace) -> int:
     return 0
 
 
-def _solve(path: Path, solver: list[str] | None, timeout: float, strict: bool) -> ResultTuple:
-    """Solve one sub-problem with the built-in oracle (`solver` None) or a
-    solver argv, with `path` put for `{file}`, that exits 10 for true and 20
-    for false.  Anything else is UNKNOWN, timed min(elapsed, timeout)."""
+class _ExternalSolver:
+    """A solver command template, run with a sub-problem's path put for
+    `{file}`.  Each task's solver starts in its own session, so a timeout
+    ends its whole process group, a wrapper's children too.  The terminal's
+    Ctrl-C does not reach such groups; `stop` ends the ones still running
+    and refuses to start more."""
+
+    def __init__(self, template: list[str]):
+        self.template = template
+        self._lock = threading.Lock()
+        self._running: set[int] = set()
+        self._stopped = False
+
+    def exit_code(self, path: Path, timeout: float) -> int:
+        """The solver's exit code; raises subprocess.TimeoutExpired after
+        killing the group of a solver that outlives `timeout`."""
+        command = [token.replace("{file}", str(path)) for token in self.template]
+        with self._lock:
+            if self._stopped:
+                raise OSError("the run was stopped")
+            process = subprocess.Popen(
+                command, stdout=DEVNULL, stderr=DEVNULL, start_new_session=True
+            )
+            self._running.add(process.pid)
+        try:
+            return process.wait(timeout)
+        finally:
+            with self._lock:
+                self._running.discard(process.pid)
+                if process.returncode is None:
+                    _kill_group(process.pid)
+            process.wait()
+
+    def stop(self) -> None:
+        with self._lock:
+            self._stopped = True
+            for pid in self._running:
+                _kill_group(pid)
+
+
+def _kill_group(pid: int) -> None:
+    try:
+        os.killpg(pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
+def _solve(
+    path: Path, solver: _ExternalSolver | None, timeout: float, strict: bool
+) -> ResultTuple:
+    """Solve one sub-problem with the built-in oracle (`solver` None) or an
+    external solver that exits 10 for true and 20 for false.  Anything else
+    is UNKNOWN, timed min(elapsed, timeout)."""
     started = time.monotonic()
     code = ResultCode.UNKNOWN
     try:
@@ -129,9 +182,7 @@ def _solve(path: Path, solver: list[str] | None, timeout: float, strict: bool) -
             value = evaluate(formula, EvalBudget(deadline=started + timeout))
             code = ResultCode.TRUE if value else ResultCode.FALSE
         else:
-            command = [token.replace("{file}", str(path)) for token in solver]
-            ended = subprocess.run(command, stdout=DEVNULL, stderr=DEVNULL, timeout=timeout)
-            code = _EXIT_CODES.get(ended.returncode, ResultCode.UNKNOWN)
+            code = _EXIT_CODES.get(solver.exit_code(path, timeout), ResultCode.UNKNOWN)
     except (IntsplitsError, OSError, subprocess.TimeoutExpired):
         pass
     elapsed = time.monotonic() - started
@@ -177,10 +228,6 @@ def _existing_results(path: Path) -> tuple[dict[int, ResultTuple], bool]:
     return done, intact and last.endswith("\n")
 
 
-def _row(index: int, result: ResultTuple) -> list:
-    return [index, result.code.name, f"{result.time:.6f}"]
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     directory = Path(args.dir)
     manifest = read_manifest(directory / MANIFEST_NAME)
@@ -202,25 +249,29 @@ def cmd_run(args: argparse.Namespace) -> int:
         scratch = results_path.with_name(RESULTS_NAME + ".tmp")
         with scratch.open("w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(["index", "result", "time_seconds"])
-            writer.writerows(_row(index, result) for index, result in done.items())
+            writer.writerow(RESULTS_HEADER)
+            writer.writerows(result_row(index, result) for index, result in done.items())
         os.replace(scratch, results_path)
     unknown = 0
+    solver = _ExternalSolver(args.solver) if args.solver else None
     with results_path.open("a", newline="") as handle:
         writer = csv.writer(handle)
         pool = ThreadPoolExecutor(max_workers=args.jobs)
         try:
             futures = {
-                pool.submit(_solve, files[index], args.solver, args.timeout, args.strict): index
+                pool.submit(_solve, files[index], solver, args.timeout, args.strict): index
                 for index in pending
             }
             for future in as_completed(futures):
                 result = future.result()
-                writer.writerow(_row(futures[future], result))
+                writer.writerow(result_row(futures[future], result))
                 handle.flush()
                 unknown += result.code is ResultCode.UNKNOWN
         finally:
-            # On Ctrl-C or an error, drop the queued tasks instead of running them.
+            # On Ctrl-C or an error, end the running solvers and drop the
+            # queued tasks instead of running them.
+            if solver is not None:
+                solver.stop()
             pool.shutdown(cancel_futures=True)
     _say(f"ran {len(pending)} tasks ({unknown} unknown), results in {results_path}")
     return 0
@@ -232,7 +283,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
     manifest = read_manifest(directory / MANIFEST_NAME)
     if not manifest:
         raise IntsplitsError(f"{directory / MANIFEST_NAME} lists no sub-problems")
-    depth = args.depth if args.depth is not None else len(manifest[0].pairs)
+    depth = args.depth if args.depth is not None else len(manifest[0].literals)
     split_plan = plan(formula, depth, _mode(args))
     verify_manifest(split_plan, manifest)
     source = Path(args.results) if args.results else directory / RESULTS_NAME

@@ -16,11 +16,10 @@ from typing import Collection
 from .errors import BudgetExceededError, FormulaError
 from .formula import (
     Formula,
-    Matrix,
     QuantifierKind,
     accounted_values,
-    apply_assignment,
-    bits_of,
+    literals_of,
+    simplify,
 )
 
 __all__ = [
@@ -97,54 +96,54 @@ class _Run:
             raise BudgetExceededError("evaluation deadline exceeded")
 
 
-# One quantification step: kind, the variables it binds (MSB first) and the
-# integer values to branch on.  Plain Boolean variables are width-1 steps
-# over range(2), which coincides with the bit-by-bit semantics.
-_Step = tuple[QuantifierKind, tuple[int, ...], Collection[int]]
+class _Literals(dict):
+    """A step's assignments as DIMACS literals by value, each made on first use."""
+
+    def __init__(self, variables: tuple[int, ...]):
+        self.variables = variables
+
+    def __missing__(self, value: int) -> tuple[int, ...]:
+        self[value] = literals = literals_of(self.variables, value)
+        return literals
 
 
-def _plain_steps(formula: Formula) -> list[_Step]:
-    steps: list[_Step] = []
-    if formula.prefix:
-        for block in formula.prefix:
-            for v in block.variables:
-                steps.append((block.kind, (v,), range(2)))
-    else:
-        for v in range(1, formula.matrix.variable_count + 1):
-            steps.append((QuantifierKind.EXISTS, (v,), range(2)))
-    return steps
+# One quantification step: kind, the integer values to branch on and their
+# literals.  Plain Boolean variables are width-1 steps over range(2), which
+# coincides with the bit-by-bit semantics.
+_Step = tuple[QuantifierKind, Collection[int], _Literals]
 
 
-def _intsplit_steps(formula: Formula) -> list[_Step]:
-    steps: list[_Step] = []
-    annotated: set[int] = set()
-    for aq in formula.annotations:
-        steps.append((aq.kind, aq.bitvector.variables, accounted_values(aq)))
-        annotated.update(aq.bitvector.variables)
+def _steps(formula: Formula, use_intsplits: bool) -> list[_Step]:
+    annotations = formula.annotations if use_intsplits else ()
+    steps = [
+        (aq.kind, accounted_values(aq), _Literals(aq.bitvector.variables)) for aq in annotations
+    ]
+    annotated = {v for aq in annotations for v in aq.bitvector.variables}
     # Annotations claim prefix variables from the front, so every leftover
     # variable commutes behind them (same block or later blocks).
     for v in formula.prefix_variables():
         if v not in annotated:
-            steps.append((formula.kind_of(v), (v,), range(2)))
+            steps.append((formula.kind_of(v), range(2), _Literals((v,))))
     return steps
 
 
-def _descend(matrix: Matrix, steps: list[_Step], depth: int, run: _Run) -> int:
+def _descend(
+    clauses: tuple[tuple[int, ...], ...], steps: list[_Step], depth: int, run: _Run
+) -> int:
+    # Every clause here is part of a clause of the validated input matrix.
     run.tick()
-    if matrix.has_empty_clause:
+    if () in clauses:
         run.leaves += run.suffix_branches[depth]
         return 0
-    if not matrix.clauses:
+    if not clauses:
         run.leaves += run.suffix_branches[depth]
         return 1
     if depth == len(steps):
         raise FormulaError("matrix undecided after the full prefix; formula is not closed")
-    kind, variables, values = steps[depth]
-    width = len(variables)
+    kind, values, literals = steps[depth]
     result = 1 if kind is QuantifierKind.FORALL else 0
     for value in values:
-        sigma = dict(zip(variables, bits_of(value, width)))
-        sub = _descend(apply_assignment(matrix, sigma), steps, depth + 1, run)
+        sub = _descend(simplify(clauses, literals[value]), steps, depth + 1, run)
         if kind is QuantifierKind.EXISTS:
             if sub:
                 result = 1
@@ -158,29 +157,23 @@ def _descend(matrix: Matrix, steps: list[_Step], depth: int, run: _Run) -> int:
     return result
 
 
-def _quantified_count(formula: Formula) -> int:
-    if formula.prefix:
-        return sum(len(block.variables) for block in formula.prefix)
-    return formula.matrix.variable_count
-
-
 def _evaluate(
     formula: Formula,
     budget: EvalBudget,
     use_intsplits: bool,
     short_circuit: bool,
 ) -> tuple[int, int]:
-    count = _quantified_count(formula)
+    count = len(formula.prefix_variables())
     if count > budget.max_variables:
         raise BudgetExceededError(
             f"{count} quantified variables exceed the budget of {budget.max_variables}"
         )
-    steps = _intsplit_steps(formula) if use_intsplits else _plain_steps(formula)
+    steps = _steps(formula, use_intsplits)
     suffix = [1] * (len(steps) + 1)
     for at in range(len(steps) - 1, -1, -1):
-        suffix[at] = suffix[at + 1] * len(steps[at][2])
+        suffix[at] = suffix[at + 1] * len(steps[at][1])
     run = _Run(budget, short_circuit, suffix)
-    value = _descend(formula.matrix, steps, 0, run)
+    value = _descend(formula.matrix.clauses, steps, 0, run)
     return value, run.leaves
 
 

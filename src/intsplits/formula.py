@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import (
     BlockMismatchError,
@@ -26,7 +26,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Assignment",
     "QuantifierKind",
     "Matrix",
     "QuantifierBlock",
@@ -41,15 +40,14 @@ __all__ = [
     "AnnotationCursor",
     "integer_value",
     "bits_of",
+    "literals_of",
     "constraint_satisfied",
     "ae_count",
     "efficiency",
     "accounted_values",
+    "simplify",
     "apply_assignment",
 ]
-
-# Partial map from variable id to 0 or 1.
-Assignment = dict[int, int]
 
 
 class QuantifierKind(Enum):
@@ -192,6 +190,12 @@ def bits_of(value: int, width: int) -> tuple[int, ...]:
     return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
 
 
+def literals_of(variables: Sequence[int], value: int) -> tuple[int, ...]:
+    """The assignment giving the bit-vector `variables` the integer `value`,
+    as DIMACS literals in the same order: v for a 1 bit, -v for a 0 bit."""
+    return tuple([v if bit else -v for v, bit in zip(variables, bits_of(value, len(variables)))])
+
+
 def _intervals(width: int, constraints: Sequence[Constraint]) -> tuple[tuple[int, int], ...]:
     """Union of the constraints as sorted, disjoint, non-adjacent half-open
     intervals of integer values; fails if the union is empty."""
@@ -313,30 +317,35 @@ def accounted_values(aq: AnnotatedQuantifier) -> Collection[int]:
     return ranges[0] if len(ranges) == 1 else _RangeChain(ranges, aq.s)
 
 
-def apply_assignment(matrix: Matrix, sigma: Mapping[int, int]) -> Matrix:
-    """Set variables according to sigma and simplify.
+def simplify(
+    clauses: tuple[tuple[int, ...], ...], literals: Iterable[int]
+) -> tuple[tuple[int, ...], ...]:
+    """The clauses under the assignment that makes `literals` true: clauses
+    with a true literal are dropped, false literals are removed, and clauses
+    emptied this way are kept.  The literals are not checked."""
+    true = frozenset(literals)
+    false = frozenset([-lit for lit in true])
+    untouched = (true | false).isdisjoint
+    kept = []
+    for clause in clauses:
+        if not untouched(clause):
+            if not true.isdisjoint(clause):
+                continue
+            clause = tuple([lit for lit in clause if lit not in false])
+        kept.append(clause)
+    return tuple(kept)
 
-    Clauses with a satisfied literal are dropped, falsified literals are
-    removed from the remaining clauses, and clauses emptied this way are
-    kept (the matrix stays recognisably false).
-    """
-    for var, bit in sigma.items():
-        if not 1 <= var <= matrix.variable_count:
-            raise FormulaError(f"assignment sets unknown variable {var}")
-        if bit not in (0, 1):
-            raise FormulaError(f"assignment values are 0 or 1, got {bit!r}")
-    new_clauses = []
-    for clause in matrix.clauses:
-        kept = []
-        for lit in clause:
-            bit = sigma.get(abs(lit))
-            if bit is None:
-                kept.append(lit)
-            elif bit == (lit > 0):
-                break
-        else:
-            new_clauses.append(tuple(kept))
-    return Matrix(tuple(new_clauses), matrix.variable_count)
+
+def apply_assignment(matrix: Matrix, literals: Iterable[int]) -> Matrix:
+    """The matrix simplified under DIMACS `literals`, which must name its
+    variables and set none both true and false."""
+    literals = frozenset(literals)
+    for lit in literals:
+        if not 0 < abs(lit) <= matrix.variable_count:
+            raise FormulaError(f"assignment literal {lit} names no variable of the matrix")
+        if -lit in literals:
+            raise FormulaError(f"assignment sets variable {abs(lit)} both true and false")
+    return Matrix(simplify(matrix.clauses, literals), matrix.variable_count)
 
 
 class AnnotationCursor:
@@ -479,6 +488,3 @@ class Formula:
         if not self.prefix:
             return QuantifierKind.EXISTS
         return self.prefix[self._block_of[variable]].kind
-
-    def block_index_of(self, variable: int) -> int:
-        return self._block_of[variable]

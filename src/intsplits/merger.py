@@ -38,6 +38,8 @@ __all__ = [
     "ResultTable",
     "TIME_MODELS",
     "parse_result_token",
+    "RESULTS_HEADER",
+    "result_row",
     "parse_result_row",
     "ingest",
     "reduce_level",
@@ -105,6 +107,14 @@ class ResultTable:
             raise MergeError(
                 f"result table has {len(self.tuples)} entries, plan yields {expected}"
             )
+
+
+RESULTS_HEADER = ("index", "result", "time_seconds")
+
+
+def result_row(index: int, result: ResultTuple) -> list:
+    """The fields of one results CSV row, as parse_result_row reads them."""
+    return [index, result.code.name, f"{result.time:.6f}"]
 
 
 def parse_result_row(line: str, where: str) -> tuple[int, ResultTuple] | None:

@@ -21,7 +21,7 @@ import csv
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby, product
+from itertools import chain, groupby, product
 from math import prod
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -30,7 +30,6 @@ from .errors import BlockMismatchError, EmptyPlanError, FormulaError, MergeError
 from .formula import (
     AnnotatedQuantifier,
     AnnotationCursor,
-    Assignment,
     BitVectorVar,
     Formula,
     Matrix,
@@ -38,7 +37,7 @@ from .formula import (
     QuantifierKind,
     Top,
     accounted_values,
-    bits_of,
+    literals_of,
 )
 from . import qdimacs
 
@@ -94,14 +93,11 @@ class SplitPlan:
 
 @dataclass(frozen=True)
 class ExpansionIndex:
-    """One accounted assignment, densely numbered in lexicographic order."""
+    """One accounted assignment, densely numbered in lexicographic order,
+    as DIMACS literals in plan order (v for true, -v for false)."""
 
     index: int
-    pairs: tuple[tuple[int, int], ...]  # (variable, bit) in plan order
-
-    @property
-    def assignment(self) -> Assignment:
-        return dict(self.pairs)
+    literals: tuple[int, ...]
 
 
 def sorted_annotations(formula: Formula) -> tuple[AnnotatedQuantifier, ...]:
@@ -160,10 +156,8 @@ def enumerate_accounted(split_plan: SplitPlan) -> Iterator[ExpansionIndex]:
     quantifiers = split_plan.quantifiers
     var_groups = [aq.bitvector.variables for aq in quantifiers]
     for index, values in enumerate(product(*map(accounted_values, quantifiers))):
-        pairs: list[tuple[int, int]] = []
-        for variables, value in zip(var_groups, values):
-            pairs.extend(zip(variables, bits_of(value, len(variables))))
-        yield ExpansionIndex(index, tuple(pairs))
+        literals = chain.from_iterable(map(literals_of, var_groups, values))
+        yield ExpansionIndex(index, tuple(literals))
 
 
 def subproblem_name(index: int, count: int, original_name: str) -> str:
@@ -200,8 +194,9 @@ def _aligned_prefix(
 
 def expanded_copy(formula: Formula, expansion: ExpansionIndex) -> Formula:
     """The sub-problem formula for one accounted assignment."""
-    assigned = {v for v, _ in expansion.pairs}
-    units = tuple((v if bit else -v,) for v, bit in expansion.pairs)
+    variables = tuple(abs(lit) for lit in expansion.literals)
+    assigned = set(variables)
+    units = tuple((lit,) for lit in expansion.literals)
     matrix = Matrix(formula.matrix.clauses + units, formula.matrix.variable_count)
 
     blocks: list[QuantifierBlock] = []
@@ -209,10 +204,8 @@ def expanded_copy(formula: Formula, expansion: ExpansionIndex) -> Formula:
         rest = tuple(v for v in block.variables if v not in assigned)
         if rest:
             blocks.append(QuantifierBlock(block.kind, rest))
-    if formula.prefix and expansion.pairs:
-        blocks.append(
-            QuantifierBlock(QuantifierKind.EXISTS, tuple(v for v, _ in expansion.pairs))
-        )
+    if formula.prefix and variables:
+        blocks.append(QuantifierBlock(QuantifierKind.EXISTS, variables))
 
     candidates = [
         aq for aq in formula.annotations if not assigned.intersection(aq.bitvector.variables)
@@ -266,12 +259,8 @@ def write_manifest(split_plan: SplitPlan, out_dir: str | Path) -> Path:
         writer = csv.writer(handle)
         writer.writerow(["index", "assignment"])
         for expansion in enumerate_accounted(split_plan):
-            writer.writerow(
-                [
-                    expansion.index,
-                    ";".join(f"{v}={bit}" for v, bit in expansion.pairs),
-                ]
-            )
+            items = ";".join(f"{abs(lit)}={int(lit > 0)}" for lit in expansion.literals)
+            writer.writerow([expansion.index, items])
     return path
 
 
@@ -286,14 +275,16 @@ def read_manifest(path: str | Path) -> list[ExpansionIndex]:
                 raise MergeError(f"{path}: row {row_no} has {len(row)} fields, expected 2")
             try:
                 index = int(row[0])
-                pairs = []
+                literals = []
                 if row[1].strip():
                     for item in row[1].split(";"):
-                        var, bit = item.split("=")
-                        pairs.append((int(var), int(bit)))
+                        var, bit = map(int, item.split("="))
+                        if var < 1 or bit not in (0, 1):
+                            raise ValueError
+                        literals.append(var if bit else -var)
             except ValueError:
                 raise MergeError(f"{path}: row {row_no} is not a valid plan entry") from None
-            entries.append(ExpansionIndex(index, tuple(pairs)))
+            entries.append(ExpansionIndex(index, tuple(literals)))
     return entries
 
 
@@ -308,6 +299,6 @@ def verify_manifest(split_plan: SplitPlan, entries: Sequence[ExpansionIndex]) ->
         if expected != found:
             raise MergeError(
                 f"manifest entry {found.index} does not match the plan "
-                f"(expected {expected.pairs}, found {found.pairs}); was the "
+                f"(expected {expected.literals}, found {found.literals}); was the "
                 f"directory produced with different split settings?"
             )

@@ -7,12 +7,13 @@ import signal
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import intsplits
-from intsplits.cli import main
+from intsplits.cli import _ExternalSolver, main
 
 FIG1_TEXT = (
     "cs int [1 2] <3\ncs int [3 4] <3\n"
@@ -423,3 +424,94 @@ def test_ctrl_c_stops_run_and_keeps_finished_rows(fig1, tmp_path):
     assert all(row.split(",")[1] == "FALSE" and float(row.split(",")[2]) >= 1 for row in rows[1:])
     assert run_cli("run", out, "--solver", "sh -c 'exit 20' {file}") == 0
     assert len(results.read_text().splitlines()) == 10
+
+
+def _solver_pid(pid_file: Path) -> int:
+    deadline = time.monotonic() + 30
+    while not (pid_file.exists() and pid_file.read_text().endswith("\n")):
+        assert time.monotonic() < deadline, f"{pid_file} was never written"
+        time.sleep(0.02)
+    return int(pid_file.read_text())
+
+
+def _ended(pid: int) -> bool:
+    """True once the process is gone or a zombie, waiting up to 2 s."""
+    deadline = time.monotonic() + 2
+    while True:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except FileNotFoundError:
+            return True
+        if stat.rsplit(")", 1)[1].split()[0] == "Z":
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+
+
+def test_timeout_kills_the_solvers_whole_process_group(fig1, tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("split", fig1, "--depth", 2, "--out", out) == 0
+    solver = "sh -c 'sleep 5 & echo $! > {file}.pid; wait' {file}"
+    assert run_cli("run", out, "--jobs", 3, "--timeout", 0.5, "--solver", solver) == 0
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["UNKNOWN"] * 3
+    pid_files = sorted(out.glob("*.pid"))
+    assert len(pid_files) == 3
+    for pid_file in pid_files:
+        assert _ended(_solver_pid(pid_file)), f"the sleep of {pid_file.name} outlived its task"
+
+
+def test_ctrl_c_ends_running_solvers(fig1, tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("split", fig1, "--depth", 4, "--out", out) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(intsplits.__file__).parents[1])}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "intsplits.cli", "run", str(out), "--jobs", "1",
+         "--timeout", "60", "--solver", "sh -c 'echo $$ > {file}.pid; exec sleep 30' {file}"],
+        env=env,
+        stderr=subprocess.PIPE,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
+    try:
+        pid = _solver_pid(out / "0000-fig1.qdimacs.pid")
+        child.send_signal(signal.SIGINT)
+        interrupted = time.monotonic()
+        _, err = child.communicate(timeout=60)
+        assert time.monotonic() - interrupted < 4
+        assert child.returncode == 130
+        assert err.decode().strip().splitlines()[-1] == "interrupted"
+        assert _ended(pid)
+    finally:
+        child.kill()
+        child.wait()
+
+
+@pytest.mark.parametrize("command", ["run", "merge"])
+def test_run_and_merge_reject_an_invalid_plan_entry(command, fig1, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("split", fig1, "--depth", 4, "--out", out) == 0
+    manifest = out / "plan.csv"
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join([lines[0], "0,1=7;2=0;-3=0;0=0", *lines[2:]]) + "\n")
+    capsys.readouterr()
+    args = ("run", out) if command == "run" else ("merge", fig1, out)
+    assert run_cli(*args) == 1
+    assert "plan.csv: row 2 is not a valid plan entry" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
+def test_external_solver_tracks_concurrent_tasks(tmp_path):
+    solver = _ExternalSolver(["sh", "-c", "exit 20", "{file}"])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            codes = list(pool.map(lambda _: solver.exit_code(tmp_path, 10), range(40)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert codes == [20] * 40
+    assert not solver._running
+    solver.stop()
+    with pytest.raises(OSError):
+        solver.exit_code(tmp_path, 10)

@@ -26,6 +26,7 @@ from intsplits import (
     accounted_values,
     ae_count,
     apply_assignment,
+    literals_of,
     bits_of,
     constraint_satisfied,
     efficiency,
@@ -222,20 +223,20 @@ def test_efficiency_examples_exact():
 
 def test_apply_assignment_examples():
     matrix = Matrix.from_ints([(1, 2), (-1, -2)], 2)
-    simplified = apply_assignment(matrix, {1: 1})
+    simplified = apply_assignment(matrix, (1,))
     assert simplified.clauses == ((-2,),)
-    falsified = apply_assignment(matrix, {1: 1, 2: 1})
+    falsified = apply_assignment(matrix, (1, 2))
     assert falsified.has_empty_clause
-    assert apply_assignment(matrix, {}) == matrix
+    assert apply_assignment(matrix, ()) == matrix
 
 
 def test_apply_assignment_idempotent():
     matrix = Matrix.from_ints([(1, 2, 3), (-1, -2), (2, -3)], 3)
-    sigma = {1: 0, 3: 1}
-    once = apply_assignment(matrix, sigma)
-    assert apply_assignment(once, {}) == once
-    # re-applying the remaining part of sigma changes nothing
-    assert apply_assignment(once, {v: b for v, b in sigma.items()}) == once
+    literals = (-1, 3)
+    once = apply_assignment(matrix, literals)
+    assert apply_assignment(once, ()) == once
+    # re-applying the remaining part of the assignment changes nothing
+    assert apply_assignment(once, literals) == once
 
 
 def test_apply_assignment_preserves_models():
@@ -250,7 +251,7 @@ def test_apply_assignment_preserves_models():
         matrix = Matrix.from_ints(clauses, count)
         assigned = rng.sample(variables, rng.randint(0, count))
         sigma = {v: rng.randint(0, 1) for v in assigned}
-        simplified = apply_assignment(matrix, sigma)
+        simplified = apply_assignment(matrix, [v if bit else -v for v, bit in sigma.items()])
         free = [v for v in variables if v not in sigma]
         for bits in itertools.product((0, 1), repeat=len(free)):
             tau = {**sigma, **dict(zip(free, bits))}
@@ -265,9 +266,18 @@ def test_apply_assignment_preserves_models():
 def test_apply_assignment_rejects_bad_input():
     matrix = Matrix.from_ints([(1,)], 1)
     with pytest.raises(FormulaError):
-        apply_assignment(matrix, {2: 1})
+        apply_assignment(matrix, (2,))
     with pytest.raises(FormulaError):
-        apply_assignment(matrix, {1: 2})
+        apply_assignment(matrix, (1, -1))
+    with pytest.raises(FormulaError):
+        apply_assignment(matrix, (0,))
+
+
+def test_literals_of_follows_bits_of():
+    assert literals_of((4, 2, 7), 0b101) == (4, -2, 7)
+    assert literals_of((3,), 0) == (-3,)
+    with pytest.raises(ValueError):
+        literals_of((1, 2), 4)
 
 
 # structural invariants ------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 
 import pytest
@@ -28,6 +30,7 @@ from intsplits import (
     render_certificate,
     speedup_report,
 )
+from intsplits.merger import RESULTS_HEADER, parse_result_row, result_row
 
 FALSE, UNKNOWN, TRUE = ResultCode.FALSE, ResultCode.UNKNOWN, ResultCode.TRUE
 
@@ -267,3 +270,17 @@ def test_merge_agrees_with_oracle_on_random_pipelines(tmp_path):
         assert final.code is (TRUE if evaluate(formula) else FALSE)
         checked += 1
     assert checked >= 5
+
+
+@pytest.mark.parametrize("code", list(ResultCode), ids=lambda code: code.name)
+def test_result_rows_round_trip(code):
+    result = ResultTuple(code, 12.345678)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(RESULTS_HEADER)
+    writer.writerow(result_row(7, result))
+    header, row = text.getvalue().splitlines()
+    assert header == "index,result,time_seconds"
+    assert row == f"7,{code.name},12.345678"
+    assert parse_result_row(header, "header") is None
+    assert parse_result_row(row, "row") == (7, result)

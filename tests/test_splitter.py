@@ -19,6 +19,7 @@ from intsplits import (
     EmptyPlanError,
     Formula,
     Matrix,
+    MergeError,
     QuantifierBlock,
     SplitMode,
     count_subproblems,
@@ -35,6 +36,7 @@ from intsplits import (
     subproblem_name,
     verify_manifest,
     write,
+    write_manifest,
 )
 from intsplits.splitter import emit_subproblem
 
@@ -138,7 +140,8 @@ def test_enumeration_matches_reference_filter():
                     break
             if keep:
                 expected.append(tuple(assignment[v] for v in variables))
-        got = [tuple(dict(e.pairs)[v] for v in variables) for e in emitted]
+        got = [tuple(int(lit > 0) for lit in e.literals) for e in emitted]
+        assert all(tuple(map(abs, e.literals)) == variables for e in emitted)
         assert got == expected  # same set and same lexicographic order
         assert [e.index for e in emitted] == list(range(len(expected)))
         assert len(emitted) == count_subproblems(chosen)
@@ -183,7 +186,7 @@ def test_emit_fig1_subproblems(tmp_path):
     assert all(block.kind is E for block in sub.prefix)
     expansion = list(enumerate_accounted(chosen))[3]
     units = list(sub.matrix.clauses[4:])
-    assert units == [((v,) if bit else (-v,)) for v, bit in expansion.pairs]
+    assert units == [(lit,) for lit in expansion.literals]
 
 
 def test_emit_partial_plan_keeps_remaining_annotations(tmp_path):
@@ -270,3 +273,71 @@ def test_split_then_solve_matches_direct_evaluation(tmp_path):
                 values = [all(group) for group in grouped]
         assert len(values) == 1
         assert values[0] == evaluate(formula)
+
+
+FIG1_PLAN_CSV = {
+    SplitMode.INTSPLIT: (
+        "index,assignment\r\n"
+        "0,1=0;2=0;3=0;4=0\r\n1,1=0;2=0;3=0;4=1\r\n2,1=0;2=0;3=1;4=0\r\n"
+        "3,1=0;2=1;3=0;4=0\r\n4,1=0;2=1;3=0;4=1\r\n5,1=0;2=1;3=1;4=0\r\n"
+        "6,1=1;2=0;3=0;4=0\r\n7,1=1;2=0;3=0;4=1\r\n8,1=1;2=0;3=1;4=0\r\n"
+    ),
+    SplitMode.PLAIN: "index,assignment\r\n"
+    + "".join(
+        f"{i},1={i >> 3 & 1};2={i >> 2 & 1};3={i >> 1 & 1};4={i & 1}\r\n" for i in range(16)
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", list(SplitMode), ids=lambda mode: mode.value)
+def test_fig1_plan_csv_bytes(mode, tmp_path):
+    path = write_manifest(plan(FIG1, 4, mode), tmp_path)
+    assert path.read_bytes() == FIG1_PLAN_CSV[mode].encode()
+
+
+@pytest.mark.parametrize(
+    "mode, count, rows",
+    [
+        (
+            SplitMode.INTSPLIT,
+            361,
+            {
+                0: "0,1=0;2=0;3=0;4=0;5=0;6=0;7=0;8=0;9=0;10=0",
+                1: "1,1=0;2=0;3=0;4=0;5=0;6=0;7=0;8=0;9=0;10=1",
+                18: "18,1=0;2=0;3=0;4=0;5=0;6=1;7=0;8=0;9=1;10=0",
+                19: "19,1=0;2=0;3=0;4=0;5=1;6=0;7=0;8=0;9=0;10=0",
+                360: "360,1=1;2=0;3=0;4=1;5=0;6=1;7=0;8=0;9=1;10=0",
+            },
+        ),
+        (
+            SplitMode.PLAIN,
+            1024,
+            {
+                0: "0,1=0;2=0;3=0;4=0;5=0;6=0;7=0;8=0;9=0;10=0",
+                19: "19,1=0;2=0;3=0;4=0;5=0;6=1;7=0;8=0;9=1;10=1",
+                32: "32,1=0;2=0;3=0;4=0;5=1;6=0;7=0;8=0;9=0;10=0",
+                1023: "1023,1=1;2=1;3=1;4=1;5=1;6=1;7=1;8=1;9=1;10=1",
+            },
+        ),
+    ],
+    ids=["intsplit", "plain"],
+)
+def test_triple_19_plan_csv_rows(mode, count, rows, tmp_path):
+    lines = write_manifest(plan(TRIPLE_19, 10, mode), tmp_path).read_bytes().split(b"\r\n")
+    assert lines[0] == b"index,assignment"
+    assert lines[-1] == b""
+    assert len(lines) == count + 2
+    for index, row in rows.items():
+        assert lines[index + 1] == row.encode()
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["0,1=7;2=0;-3=0;0=0", "0,1=2;2=0;3=0;4=0", "0,1=0;2=0;-3=0;4=0", "0,0=0;2=0;3=0;4=0"],
+)
+def test_read_manifest_rejects_invalid_entries(row, tmp_path):
+    path = write_manifest(plan(FIG1, 4), tmp_path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], row, *lines[2:]]) + "\n")
+    with pytest.raises(MergeError, match="row 2 is not a valid plan entry"):
+        read_manifest(path)
