@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import multiprocessing
 import os
 import shlex
 import signal
@@ -19,9 +20,12 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
+from contextlib import closing, contextmanager
+from itertools import islice
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from subprocess import DEVNULL
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import qdimacs
 from .errors import BudgetExceededError, DuplicateResultError, IntsplitsError, UnparsableRowError
@@ -50,7 +54,7 @@ from .splitter import (
     plan,
     read_manifest,
     split_formula,
-    subproblem_index,
+    subproblem_files,
     verify_manifest,
 )
 
@@ -189,19 +193,131 @@ def _solve(
     return ResultTuple(code, min(elapsed, timeout) if code is ResultCode.UNKNOWN else elapsed)
 
 
-def _subproblem_files(directory: Path) -> dict[int, Path]:
-    files: dict[int, Path] = {}
-    for path in sorted(directory.iterdir()):
-        index = subproblem_index(path.name)
-        if index is None or not path.is_file() or path.suffix == ".log":
-            continue
-        if index in files:
-            raise IntsplitsError(
-                f"two sub-problem files share index {index}: {files[index].name} "
-                f"and {path.name}; keep one split per directory"
+_Task = tuple[int, Path]  # a sub-problem's index and file
+_Batch = list[tuple[int, ResultTuple]]  # results that reach `run` together
+
+
+def _oracle_worker(
+    connection: Connection, inherited: list[Connection], timeout: float, strict: bool
+) -> None:
+    """Worker process: solve each chunk of tasks the parent sends with the
+    built-in oracle and send back their results, until it sends None or
+    has ended."""
+    # Ctrl-C reaches the terminal's whole process group; the parent alone
+    # acts on it.  SIGTERM and SIGHUP end a worker at once, whatever Python
+    # handler it inherited with the fork.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGHUP, signal.SIG_DFL)
+    # The parent's ends of the pipes, copied by the fork: while a worker
+    # holds one, the parent's death is no end of file for that pipe.
+    for end in inherited:
+        end.close()
+    try:
+        while (chunk := connection.recv()) is not None:
+            connection.send([(index, _solve(path, None, timeout, strict)) for index, path in chunk])
+    except (EOFError, BrokenPipeError):
+        pass  # `run` was killed; the results have nowhere to go
+
+
+def _oracle_results(
+    tasks: list[_Task], jobs: int, timeout: float, strict: bool
+) -> Iterator[_Batch]:
+    """Solve `tasks` with the built-in oracle in up to `jobs` forked worker
+    processes; yields each chunk's results as they arrive.
+
+    A worker takes ceil(tasks / (8 * jobs)) consecutive tasks at a time:
+    one message per task costs more than a small task, and eight chunks per
+    worker still balance uneven ones.  Every worker has ended when the
+    generator returns or is closed: a worker with no chunk left exits on
+    None; on an error or a stop, the workers still running are killed,
+    and the results they had not reported are lost.
+    """
+    size = -(-len(tasks) // (8 * jobs)) or 1
+    chunks = iter([tasks[at : at + size] for at in range(0, len(tasks), size)])
+    context = multiprocessing.get_context("fork")
+    workers: dict[Connection, multiprocessing.process.BaseProcess] = {}
+    try:
+        for chunk in islice(chunks, jobs):
+            ours, theirs = context.Pipe()
+            worker = context.Process(
+                target=_oracle_worker, args=(theirs, [ours, *workers], timeout, strict)
             )
-        files[index] = path
-    return files
+            worker.start()
+            workers[ours] = worker
+            theirs.close()
+            ours.send(chunk)
+        while workers:
+            for connection in wait(list(workers)):
+                try:
+                    results = connection.recv()
+                except EOFError:
+                    worker = workers[connection]
+                    worker.join()
+                    raise IntsplitsError(
+                        f"oracle worker {worker.pid} ended with exit code "
+                        f"{worker.exitcode} before it reported its tasks"
+                    ) from None
+                chunk = next(chunks, None)
+                connection.send(chunk)
+                if chunk is None:
+                    workers.pop(connection).join()
+                    connection.close()
+                yield results
+    finally:
+        for connection, worker in workers.items():
+            worker.kill()
+            connection.close()
+        for worker in workers.values():
+            worker.join()
+
+
+def _solver_results(
+    tasks: list[_Task], solver: _ExternalSolver, jobs: int, timeout: float, strict: bool
+) -> Iterator[_Batch]:
+    """Solve `tasks` with an external solver, one task at a time on each of
+    `jobs` threads; yields each result as it arrives.  When the generator
+    returns or is closed, the solvers still running are killed and no
+    queued task starts."""
+    pool = ThreadPoolExecutor(max_workers=jobs)
+    try:
+        futures = {
+            pool.submit(_solve, path, solver, timeout, strict): index for index, path in tasks
+        }
+        for future in as_completed(futures):
+            yield [(futures[future], future.result())]
+    finally:
+        solver.stop()
+        pool.shutdown(cancel_futures=True)
+
+
+class _Stopped(KeyboardInterrupt):
+    """SIGTERM or SIGHUP, raised in the main thread as Ctrl-C raises
+    KeyboardInterrupt, so that all three stop `run` the same way."""
+
+    def __init__(self, signum: int):
+        super().__init__(signum)
+        self.signum = signum
+
+
+@contextmanager
+def _stop_signals() -> Iterator[None]:
+    """SIGTERM and SIGHUP raise _Stopped inside the block.  A signal that is
+    ignored, or that the calling program handles, is left as it is."""
+
+    def stop(signum: int, frame: object) -> None:
+        raise _Stopped(signum)
+
+    replaced = {
+        signum: signal.signal(signum, stop)
+        for signum in (signal.SIGTERM, signal.SIGHUP)
+        if signal.getsignal(signum) is signal.SIG_DFL
+    }
+    try:
+        yield
+    finally:
+        for signum, handler in replaced.items():
+            signal.signal(signum, handler)
 
 
 def _existing_results(path: Path) -> tuple[dict[int, ResultTuple], bool]:
@@ -231,7 +347,7 @@ def _existing_results(path: Path) -> tuple[dict[int, ResultTuple], bool]:
 def cmd_run(args: argparse.Namespace) -> int:
     directory = Path(args.dir)
     manifest = read_manifest(directory / MANIFEST_NAME)
-    files = _subproblem_files(directory)
+    files = subproblem_files(directory, len(manifest))
     results_path = directory / RESULTS_NAME
     done, intact = _existing_results(results_path)
     pending = [entry.index for entry in manifest if entry.index not in done]
@@ -252,27 +368,19 @@ def cmd_run(args: argparse.Namespace) -> int:
             writer.writerow(RESULTS_HEADER)
             writer.writerows(result_row(index, result) for index, result in done.items())
         os.replace(scratch, results_path)
+    tasks = [(index, files[index]) for index in pending]
+    if args.solver:
+        solver = _ExternalSolver(args.solver)
+        batches = _solver_results(tasks, solver, args.jobs, args.timeout, args.strict)
+    else:
+        batches = _oracle_results(tasks, args.jobs, args.timeout, args.strict)
     unknown = 0
-    solver = _ExternalSolver(args.solver) if args.solver else None
-    with results_path.open("a", newline="") as handle:
+    with _stop_signals(), results_path.open("a", newline="") as handle, closing(batches):
         writer = csv.writer(handle)
-        pool = ThreadPoolExecutor(max_workers=args.jobs)
-        try:
-            futures = {
-                pool.submit(_solve, files[index], solver, args.timeout, args.strict): index
-                for index in pending
-            }
-            for future in as_completed(futures):
-                result = future.result()
-                writer.writerow(result_row(futures[future], result))
-                handle.flush()
-                unknown += result.code is ResultCode.UNKNOWN
-        finally:
-            # On Ctrl-C or an error, end the running solvers and drop the
-            # queued tasks instead of running them.
-            if solver is not None:
-                solver.stop()
-            pool.shutdown(cancel_futures=True)
+        for batch in batches:
+            writer.writerows(result_row(index, result) for index, result in batch)
+            handle.flush()
+            unknown += sum(result.code is ResultCode.UNKNOWN for _, result in batch)
     _say(f"ran {len(pending)} tasks ({unknown} unknown), results in {results_path}")
     return 0
 
@@ -433,9 +541,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except KeyboardInterrupt:
-        _say("interrupted")
-        return 130
+    except KeyboardInterrupt as exc:
+        signum = getattr(exc, "signum", signal.SIGINT)
+        name = signal.Signals(signum).name
+        _say("interrupted" if signum == signal.SIGINT else f"stopped by {name}")
+        return 128 + signum
     except BudgetExceededError as exc:
         _say(f"budget exceeded: {exc}")
         return 2

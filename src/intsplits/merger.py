@@ -30,7 +30,7 @@ from .errors import (
     UnparsableRowError,
 )
 from .formula import QuantifierKind
-from .splitter import SplitPlan, count_subproblems, count_without_intsplits, subproblem_index
+from .splitter import SplitPlan, count_subproblems, count_without_intsplits, subproblem_files
 
 __all__ = [
     "ResultCode",
@@ -162,13 +162,11 @@ def _parse_time_at(token: str, where: str) -> float:
     return seconds
 
 
-def _rows_from_logs(directory: Path) -> Iterator[tuple[str, int, ResultTuple]]:
+def _rows_from_logs(directory: Path, count: int) -> Iterator[tuple[str, int, ResultTuple]]:
     # One log file per sub-problem, named like the sub-problem itself plus
-    # any suffix; the last non-empty line must be `RESULT <code> TIME <s>`.
-    for path in sorted(directory.iterdir()):
-        index = subproblem_index(path.name)
-        if index is None or not path.is_file():
-            continue
+    # one suffix (the rule of subproblem_files); the last non-empty line must
+    # be `RESULT <code> TIME <s>`.
+    for index, path in sorted(subproblem_files(directory, count).items()):
         last = ""
         for line in path.read_text(errors="replace").splitlines():
             if line.strip():
@@ -192,8 +190,8 @@ def format_indices(indices: Sequence[int]) -> str:
 def ingest(source: str | Path, plan: SplitPlan) -> ResultTable:
     """Read results from a CSV file or a directory of per-task logs."""
     source = Path(source)
-    rows = _rows_from_logs(source) if source.is_dir() else _rows_from_csv(source)
     total = count_subproblems(plan)
+    rows = _rows_from_logs(source, total) if source.is_dir() else _rows_from_csv(source)
     seen: dict[int, ResultTuple] = {}
     for where, index, result in rows:
         if not 0 <= index < total:

@@ -378,10 +378,13 @@ def parse_file(path: str | Path, strict: bool = False) -> Formula:
 
 
 def _format_constraint(constraint: Constraint, width: int) -> str:
-    if isinstance(constraint, Less):
-        return f"<{constraint.bound}"
-    if isinstance(constraint, Greater):
-        return f">{constraint.bound}"
+    if isinstance(constraint, (Less, Greater)):
+        # Every bound from 2^width up admits the same values; one past what
+        # `parse` accepts on a listed vector is written as 2^width.
+        bound = constraint.bound
+        if bound > max(_INT32_MAX, 1 << width):
+            bound = 1 << width
+        return f"{'<' if isinstance(constraint, Less) else '>'}{bound}"
     if isinstance(constraint, InSet):
         patterns = sorted(constraint.patterns, key=integer_value)
         return "={" + " ".join("".join(map(str, p)) for p in patterns) + "}"

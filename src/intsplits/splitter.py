@@ -52,6 +52,7 @@ __all__ = [
     "enumerate_accounted",
     "subproblem_name",
     "subproblem_index",
+    "subproblem_files",
     "expanded_copy",
     "emit_subproblem",
     "split_formula",
@@ -174,6 +175,36 @@ def subproblem_index(name: str) -> int | None:
     """Index that subproblem_name put in front of a file name, or None."""
     match = _INDEX_PREFIX.match(name)
     return int(match.group(1)) if match else None
+
+
+def subproblem_files(directory: str | Path, count: int) -> dict[int, Path]:
+    """The files of one split of `count` sub-problems in `directory`, by
+    index: those named `subproblem_name(index, count, original)` for the
+    one original name the split used.
+
+    That is the shortest original the names carry.  A file that extends
+    it, such as a solver's `{file}.drat` or a log beside its input, is not
+    counted; a name with any other original belongs to a second split and
+    is an error.
+    """
+    by_original: dict[str, dict[int, Path]] = {}
+    for path in sorted(Path(directory).iterdir()):
+        index = subproblem_index(path.name)
+        if index is None or not path.is_file():
+            continue
+        original = path.name.split("-", 1)[1]
+        if path.name == subproblem_name(index, count, original):
+            by_original.setdefault(original, {})[index] = path
+    if not by_original:
+        return {}
+    original = min(by_original, key=len)
+    others = sorted(name for name in by_original if not name.startswith(original))
+    if others:
+        raise MergeError(
+            f"{directory} holds sub-problems of {original!r} and of {others[0]!r}; "
+            f"keep one split per directory"
+        )
+    return by_original[original]
 
 
 def _aligned_prefix(

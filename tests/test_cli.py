@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -13,11 +16,19 @@ from pathlib import Path
 import pytest
 
 import intsplits
+from intsplits import cli
 from intsplits.cli import _ExternalSolver, main
 
 FIG1_TEXT = (
     "cs int [1 2] <3\ncs int [3 4] <3\n"
     "p cnf 4 4\na 1 2 0\ne 3 4 0\n-1 3 0\n1 -3 0\n-2 4 0\n2 -4 0\n"
+)
+
+TRIPLE_19_TEXT = (
+    "cs int <19\ncs int <19\ncs int <19\n"
+    "p cnf 15 2\n"
+    "e 1 2 3 4 5 0\na 6 7 8 9 10 0\ne 11 12 13 14 15 0\n"
+    "1 -6 11 0\n2 -7 12 0\n"
 )
 
 PHI1_TEXT = "p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n-1 -2 0\n"
@@ -515,3 +526,172 @@ def test_external_solver_tracks_concurrent_tasks(tmp_path):
     solver.stop()
     with pytest.raises(OSError):
         solver.exit_code(tmp_path, 10)
+
+
+def _rows(out: Path) -> dict[int, str]:
+    """results.csv rows by index; fails on a duplicate index."""
+    rows: dict[int, str] = {}
+    for row in (out / "results.csv").read_text().splitlines()[1:]:
+        index = int(row.split(",")[0])
+        assert index not in rows, f"two rows for index {index}"
+        rows[index] = row
+    return rows
+
+
+@pytest.mark.parametrize("mode", [(), ("--no-intsplits",)], ids=["intsplit", "plain"])
+@pytest.mark.parametrize("text", [FIG1_TEXT, TRIPLE_19_TEXT], ids=["fig1", "triple19"])
+def test_worker_processes_give_the_sequential_result_codes(text, mode, tmp_path):
+    formula = tmp_path / "f.qdimacs"
+    formula.write_text(text)
+    codes = {}
+    for jobs in (1, 3):
+        out = tmp_path / f"jobs{jobs}"
+        assert run_cli("split", formula, "--depth", 6, "--out", out, *mode) == 0
+        assert run_cli("run", out, "--jobs", jobs) == 0
+        codes[jobs] = {index: row.split(",")[1] for index, row in _rows(out).items()}
+    assert codes[3] == codes[1]
+    assert sorted(codes[1]) == list(range(len(codes[1])))
+
+    # Resume with a seeded sample of rows kept.  On TRIPLE_19 in plain mode,
+    # 47 of 64 tasks are left: chunks of 2 for 3 workers, the last one short.
+    out = tmp_path / "jobs3"
+    rows = _rows(out)
+    kept = random.Random(5).sample(sorted(rows), len(rows) // 4 + 1)
+    header = "index,result,time_seconds\n"
+    (out / "results.csv").write_text(header + "".join(rows[i] + "\n" for i in kept))
+    assert run_cli("run", out, "--jobs", 3) == 0
+    resumed = _rows(out)
+    assert sorted(resumed) == list(range(len(rows)))
+    assert {index: row.split(",")[1] for index, row in resumed.items()} == codes[1]
+    assert all(resumed[i] == rows[i] for i in kept)
+
+
+def test_an_error_in_the_result_loop_ends_every_worker(fig1, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    assert run_cli("split", fig1, "--depth", 4, "--out", out) == 0
+    assert run_cli("run", out, "--jobs", 2) == 0
+    assert multiprocessing.active_children() == []
+    (out / "results.csv").unlink()
+
+    written = []
+
+    def write_three_rows(index, result):
+        if len(written) == 3:
+            raise OSError("no space left on device")
+        written.append(index)
+        return row_of(index, result)
+
+    row_of = cli.result_row
+    monkeypatch.setattr(cli, "result_row", write_three_rows)
+    # A SIGTERM handler that exits, as a calling program may install; the
+    # workers inherit it with the fork.
+    previous = signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
+    try:
+        started = time.monotonic()
+        assert run_cli("run", out, "--jobs", 2) == 1
+        assert time.monotonic() - started < 5
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert multiprocessing.active_children() == []
+    assert sorted(_rows(out)) == sorted(written)
+
+
+def _default_signal_handlers() -> None:
+    # A signal ignored when Python starts stays ignored, as under nohup.
+    for signum in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP):
+        signal.signal(signum, signal.SIG_DFL)
+
+
+@pytest.mark.parametrize(
+    "signum, solver",
+    [
+        (signal.SIGINT, None),
+        (signal.SIGTERM, None),
+        (signal.SIGHUP, None),
+        (signal.SIGTERM, "sh -c 'echo $$ > {file}.pid; exec sleep 30' {file}"),
+    ],
+    ids=["SIGINT-oracle", "SIGTERM-oracle", "SIGHUP-oracle", "SIGTERM-solver"],
+)
+def test_a_signal_ends_run_and_every_process_it_started(signum, solver, tmp_path):
+    # 2^20 universal branches per task: each runs far past the signal.
+    formula = _quantified_chain(tmp_path / "chain.qdimacs", 22)
+    out = tmp_path / "out"
+    assert run_cli("split", formula, "--depth", 2, "--out", out) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(intsplits.__file__).parents[1])}
+    argv = [sys.executable, "-m", "intsplits.cli", "run", str(out), "--jobs", "2", "--timeout", "30"]
+    child = subprocess.Popen(
+        argv + (["--solver", solver] if solver else []),
+        env=env,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+        preexec_fn=_default_signal_handlers,
+    )
+    try:
+        if solver:
+            pid = _solver_pid(out / "0000-chain.qdimacs.pid")
+        time.sleep(1.5)
+        child.send_signal(signum)
+        signalled = time.monotonic()
+        _, err = child.communicate(timeout=30)
+        assert time.monotonic() - signalled < 2
+        with pytest.raises(ProcessLookupError):
+            os.killpg(child.pid, 0)  # no worker is left in the group
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(child.pid, signal.SIGKILL)
+        child.wait()
+    assert child.returncode == 128 + signum
+    assert err.decode().strip().splitlines()[-1] == (
+        "interrupted" if signum == signal.SIGINT else f"stopped by {signal.Signals(signum).name}"
+    )
+    if solver:
+        assert _ended(pid)
+    assert (out / "results.csv").read_text() == "index,result,time_seconds\n"
+
+
+def test_oracle_workers_end_after_run_is_killed(tmp_path):
+    formula = _quantified_chain(tmp_path / "chain.qdimacs", 22)
+    out = tmp_path / "out"
+    assert run_cli("split", formula, "--depth", 2, "--out", out) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(intsplits.__file__).parents[1])}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "intsplits.cli", "run", str(out), "--jobs", "2", "--timeout", "1"],
+        env=env,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    try:
+        time.sleep(0.5)
+        child.kill()
+        _, err = child.communicate(timeout=30)
+        # Nothing can stop the workers' running tasks; each worker ends
+        # when its task reaches the deadline and finds no parent to report to.
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline:
+            try:
+                os.killpg(child.pid, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.05)
+        else:
+            pytest.fail("a worker outlived the killed run by 5 s")
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(child.pid, signal.SIGKILL)
+    assert b"Traceback" not in err
+
+
+def test_solver_side_files_do_not_break_resume(fig1, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("split", fig1, "--depth", 2, "--out", out) == 0
+    solver = "sh -c 'echo proof > {file}.drat; exit 20' {file}"
+    assert run_cli("run", out, "--solver", solver) == 0
+    assert len(list(out.glob("*.drat"))) == 3
+    capsys.readouterr()
+    assert run_cli("run", out, "--solver", solver) == 0
+    assert "0 tasks left" in capsys.readouterr().err
+    assert sorted(_rows(out)) == [0, 1, 2]
+
+    (out / "0001-other.qdimacs").write_text(FIG1_TEXT)
+    assert run_cli("run", out) == 1
+    assert "keep one split per directory" in capsys.readouterr().err

@@ -218,6 +218,7 @@ def test_ingest_from_log_directory(tmp_path):
         (tmp_path / f"{index:04d}-f.qdimacs.log").write_text(
             f"c solver chatter\nRESULT {code} TIME {index}.5\n"
         )
+    (tmp_path / "0003-f.qdimacs.log.orig").write_text("a side file of a log\n")
     table = ingest(tmp_path, FIG1_PLAN)
     assert table.tuples[1] == ResultTuple(TRUE, 1.5)
     assert table.tuples[2] == ResultTuple(FALSE, 2.5)

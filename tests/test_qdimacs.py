@@ -254,6 +254,17 @@ def test_wide_listed_annotations_round_trip(width, constraint, written_as):
     assert reparsed.annotations[0].intervals == formula.annotations[0].intervals
 
 
+def test_bounds_past_the_parse_limit_are_written_as_two_to_the_width():
+    variables = (1, 2, 3, 4, 5)
+    annotation = AnnotatedQuantifier(E, BitVectorVar(variables), (Less(2**40), Greater(2**40)))
+    formula = Formula(Matrix.from_ints([(1,)], 5), (QuantifierBlock(E, variables),), (annotation,))
+    text = write(formula)
+    assert text.startswith("cs int [1 2 3 4 5] <32;>32\n")
+    reparsed = parse(text)
+    assert reparsed.annotations[0].intervals == annotation.intervals == ((0, 32),)
+    assert write(reparsed) == text
+
+
 def test_listed_width_raises_the_limits_to_its_range_only():
     wide = " ".join(str(v) for v in range(1, 41))
     tail = f"\np cnf 40 1\ne {wide} 0\n1 0\n"

@@ -32,6 +32,7 @@ from intsplits import (
     read_manifest,
     sorted_annotations,
     split_formula,
+    subproblem_files,
     subproblem_index,
     subproblem_name,
     verify_manifest,
@@ -163,6 +164,20 @@ def test_subproblem_name_padding():
     assert subproblem_name(3, 32768, "f.qdimacs") == "00003-f.qdimacs"
     names = [subproblem_name(i, 32768, "f") for i in range(32768)]
     assert names == sorted(names)
+
+
+def test_subproblem_files_count_one_split_and_skip_side_files(tmp_path):
+    names = [subproblem_name(index, 3, "f-1.qdimacs") for index in range(3)]
+    for name in names:
+        (tmp_path / name).write_text("")
+        (tmp_path / f"{name}.drat").write_text("")
+    (tmp_path / "00001-f-1.qdimacs").write_text("")  # padded for another count
+    (tmp_path / "0003-f-1.qdimacs.log").mkdir()
+    (tmp_path / "plan.csv").write_text("")
+    assert subproblem_files(tmp_path, 3) == {i: tmp_path / name for i, name in enumerate(names)}
+    (tmp_path / "0002-g-1.qdimacs").write_text("")
+    with pytest.raises(MergeError, match="of 'f-1.qdimacs' and of 'g-1.qdimacs'; keep one split"):
+        subproblem_files(tmp_path, 3)
 
 
 def test_subproblem_index_inverts_subproblem_name():
