@@ -67,7 +67,7 @@ def _say(message: str) -> None:
 
 
 def _load(args: argparse.Namespace) -> Formula:
-    return qdimacs.parse_file(args.formula, strict=getattr(args, "strict", False))
+    return qdimacs.parse_file(args.formula, strict=args.strict)
 
 
 def _mode(args: argparse.Namespace) -> SplitMode:
@@ -172,9 +172,7 @@ def _kill_group(pid: int) -> None:
         pass
 
 
-def _solve(
-    path: Path, solver: _ExternalSolver | None, timeout: float, strict: bool
-) -> ResultTuple:
+def _solve(path: Path, solver: _ExternalSolver | None, timeout: float) -> ResultTuple:
     """Solve one sub-problem with the built-in oracle (`solver` None) or an
     external solver that exits 10 for true and 20 for false.  Anything else
     is UNKNOWN, timed min(elapsed, timeout)."""
@@ -182,7 +180,7 @@ def _solve(
     code = ResultCode.UNKNOWN
     try:
         if solver is None:
-            formula = qdimacs.parse_file(path, strict=strict)
+            formula = qdimacs.parse_file(path)
             value = evaluate(formula, EvalBudget(deadline=started + timeout))
             code = ResultCode.TRUE if value else ResultCode.FALSE
         else:
@@ -198,11 +196,19 @@ _Batch = list[tuple[int, ResultTuple]]  # results that reach `run` together
 
 
 def _oracle_worker(
-    connection: Connection, inherited: list[Connection], timeout: float, strict: bool
+    connection: Connection, inherited: list[Connection], parent: int, timeout: float
 ) -> None:
     """Worker process: solve each chunk of tasks the parent sends with the
     built-in oracle and send back their results, until it sends None or
     has ended."""
+    # Linux kills a worker whose `run` dies, unless it died before this call.
+    if sys.platform == "linux":
+        import ctypes  # here, so that `run` itself does not load it
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG
+    if os.getppid() != parent:
+        return
     # Ctrl-C reaches the terminal's whole process group; the parent alone
     # acts on it.  SIGTERM and SIGHUP end a worker at once, whatever Python
     # handler it inherited with the fork.
@@ -215,14 +221,12 @@ def _oracle_worker(
         end.close()
     try:
         while (chunk := connection.recv()) is not None:
-            connection.send([(index, _solve(path, None, timeout, strict)) for index, path in chunk])
+            connection.send([(index, _solve(path, None, timeout)) for index, path in chunk])
     except (EOFError, BrokenPipeError):
         pass  # `run` was killed; the results have nowhere to go
 
 
-def _oracle_results(
-    tasks: list[_Task], jobs: int, timeout: float, strict: bool
-) -> Iterator[_Batch]:
+def _oracle_results(tasks: list[_Task], jobs: int, timeout: float) -> Iterator[_Batch]:
     """Solve `tasks` with the built-in oracle in up to `jobs` forked worker
     processes; yields each chunk's results as they arrive.
 
@@ -241,7 +245,7 @@ def _oracle_results(
         for chunk in islice(chunks, jobs):
             ours, theirs = context.Pipe()
             worker = context.Process(
-                target=_oracle_worker, args=(theirs, [ours, *workers], timeout, strict)
+                target=_oracle_worker, args=(theirs, [ours, *workers], os.getpid(), timeout)
             )
             worker.start()
             workers[ours] = worker
@@ -273,7 +277,7 @@ def _oracle_results(
 
 
 def _solver_results(
-    tasks: list[_Task], solver: _ExternalSolver, jobs: int, timeout: float, strict: bool
+    tasks: list[_Task], solver: _ExternalSolver, jobs: int, timeout: float
 ) -> Iterator[_Batch]:
     """Solve `tasks` with an external solver, one task at a time on each of
     `jobs` threads; yields each result as it arrives.  When the generator
@@ -282,7 +286,7 @@ def _solver_results(
     pool = ThreadPoolExecutor(max_workers=jobs)
     try:
         futures = {
-            pool.submit(_solve, path, solver, timeout, strict): index for index, path in tasks
+            pool.submit(_solve, path, solver, timeout): index for index, path in tasks
         }
         for future in as_completed(futures):
             yield [(futures[future], future.result())]
@@ -347,10 +351,10 @@ def _existing_results(path: Path) -> tuple[dict[int, ResultTuple], bool]:
 def cmd_run(args: argparse.Namespace) -> int:
     directory = Path(args.dir)
     manifest = read_manifest(directory / MANIFEST_NAME)
-    files = subproblem_files(directory, len(manifest))
+    files = subproblem_files(directory, len(manifest.entries))
     results_path = directory / RESULTS_NAME
     done, intact = _existing_results(results_path)
-    pending = [entry.index for entry in manifest if entry.index not in done]
+    pending = [entry.index for entry in manifest.entries if entry.index not in done]
     missing = [index for index in pending if index not in files]
     if missing:
         raise IntsplitsError(
@@ -371,9 +375,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     tasks = [(index, files[index]) for index in pending]
     if args.solver:
         solver = _ExternalSolver(args.solver)
-        batches = _solver_results(tasks, solver, args.jobs, args.timeout, args.strict)
+        batches = _solver_results(tasks, solver, args.jobs, args.timeout)
     else:
-        batches = _oracle_results(tasks, args.jobs, args.timeout, args.strict)
+        batches = _oracle_results(tasks, args.jobs, args.timeout)
     unknown = 0
     with _stop_signals(), results_path.open("a", newline="") as handle, closing(batches):
         writer = csv.writer(handle)
@@ -389,10 +393,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
     formula = _load(args)
     directory = Path(args.dir)
     manifest = read_manifest(directory / MANIFEST_NAME)
-    if not manifest:
-        raise IntsplitsError(f"{directory / MANIFEST_NAME} lists no sub-problems")
-    depth = args.depth if args.depth is not None else len(manifest[0].literals)
-    split_plan = plan(formula, depth, _mode(args))
+    split_plan = plan(formula, manifest.depth, manifest.mode)
     verify_manifest(split_plan, manifest)
     source = Path(args.results) if args.results else directory / RESULTS_NAME
     table = ingest(source, split_plan)
@@ -499,14 +500,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="external solver command template with a {file} placeholder; "
         "exit 10 means true, 20 means false (default: built-in evaluator)",
     )
-    common(run)
     run.set_defaults(func=cmd_run)
 
     merge_cmd = commands.add_parser("merge", help="reduce results to the final verdict")
     merge_cmd.add_argument("formula")
     merge_cmd.add_argument("dir")
-    merge_cmd.add_argument("--depth", type=_positive(int), help="split depth (default: from plan.csv)")
-    merge_cmd.add_argument("--no-intsplits", action="store_true", help="directory was split in plain mode")
     merge_cmd.add_argument("--results", help="results CSV or log directory (default: <dir>/results.csv)")
     merge_cmd.add_argument("--time-model", choices=TIME_MODELS, default="paper")
     merge_cmd.add_argument(

@@ -1,5 +1,12 @@
 """Exception hierarchy shared by all intsplits modules."""
 
+__all__ = [
+    "IntsplitsError", "FormulaError", "InvalidAnnotationError", "BlockMismatchError",
+    "PatternWidthMismatchError", "ParseError", "MalformedHeaderError", "UnknownVariableError",
+    "AmbiguousImplicitError", "DimacsModeViolationError", "EmptyPlanError", "BudgetExceededError",
+    "MergeError", "MissingResultError", "DuplicateResultError", "UnparsableRowError",
+]
+
 
 class IntsplitsError(Exception):
     """Base class for every error raised by this package."""

@@ -42,8 +42,6 @@ __all__ = [
     "bits_of",
     "literals_of",
     "constraint_satisfied",
-    "ae_count",
-    "efficiency",
     "accounted_values",
     "simplify",
     "apply_assignment",
@@ -80,10 +78,6 @@ class Matrix:
     @classmethod
     def from_ints(cls, clauses: Iterable[Iterable[int]], variable_count: int) -> "Matrix":
         return cls(tuple(tuple(c) for c in clauses), variable_count)
-
-    @property
-    def has_empty_clause(self) -> bool:
-        return () in self.clauses
 
 
 @dataclass(frozen=True)
@@ -278,16 +272,6 @@ def constraint_satisfied(aq: AnnotatedQuantifier, bits: Sequence[int]) -> bool:
     if len(bits) != aq.width:
         raise ValueError(f"expected {aq.width} bits, got {len(bits)}")
     return integer_value(bits) in accounted_values(aq)
-
-
-def ae_count(aq: AnnotatedQuantifier) -> tuple[int, int]:
-    """(accounted, unaccounted) expansion counts; their sum is 2^width."""
-    return aq.s, aq.u
-
-
-def efficiency(aq: AnnotatedQuantifier) -> Fraction:
-    """Exact u/s ratio used to rank annotations for splitting."""
-    return aq.eta
 
 
 @dataclass(frozen=True)

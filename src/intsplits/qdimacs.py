@@ -49,7 +49,7 @@ from .formula import (
     integer_value,
 )
 
-__all__ = ["SourceDocument", "RawSplit", "scan", "parse", "parse_file", "write", "write_file"]
+__all__ = ["SourceDocument", "RawSplit", "scan", "parse", "parse_file", "write"]
 
 _INT32_MAX = 2**31 - 1
 _MAX_PATTERN_BITS = 32
@@ -410,9 +410,3 @@ def write(formula: Formula) -> str:
         body = " ".join(map(str, clause))
         lines.append(f"{body} 0" if body else "0")
     return "\n".join(lines) + "\n"
-
-
-def write_file(formula: Formula, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(write(formula))
-    return path

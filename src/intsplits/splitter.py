@@ -56,6 +56,7 @@ __all__ = [
     "expanded_copy",
     "emit_subproblem",
     "split_formula",
+    "Manifest",
     "write_manifest",
     "read_manifest",
     "verify_manifest",
@@ -63,6 +64,7 @@ __all__ = [
 
 MANIFEST_NAME = "plan.csv"
 _INDEX_PREFIX = re.compile(r"^(\d+)-")
+_SETTINGS = re.compile(r"# mode=(intsplit|plain) depth=([1-9][0-9]*)")
 
 
 class SplitMode(Enum):
@@ -283,11 +285,21 @@ def split_formula(
     return paths
 
 
+@dataclass(frozen=True)
+class Manifest:
+    """plan.csv as read: the split's mode and requested depth, and its entries."""
+
+    mode: SplitMode
+    depth: int
+    entries: tuple[ExpansionIndex, ...]
+
+
 def write_manifest(split_plan: SplitPlan, out_dir: str | Path) -> Path:
-    """plan.csv: one row per sub-problem, `index,var=bit;var=bit;...`."""
+    """plan.csv: `# mode=M depth=D`, then one `index,var=bit;...` row per sub-problem."""
     path = Path(out_dir) / MANIFEST_NAME
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
+        writer.writerow([f"# mode={split_plan.mode.value} depth={split_plan.requested_depth}"])
         writer.writerow(["index", "assignment"])
         for expansion in enumerate_accounted(split_plan):
             items = ";".join(f"{abs(lit)}={int(lit > 0)}" for lit in expansion.literals)
@@ -295,11 +307,17 @@ def write_manifest(split_plan: SplitPlan, out_dir: str | Path) -> Path:
     return path
 
 
-def read_manifest(path: str | Path) -> list[ExpansionIndex]:
+def read_manifest(path: str | Path) -> Manifest:
     entries: list[ExpansionIndex] = []
     # A byte that is not UTF-8 becomes U+FFFD and fails its row's parse.
     with Path(path).open(newline="", errors="replace") as handle:
-        for row_no, row in enumerate(csv.reader(handle), start=1):
+        settings = _SETTINGS.fullmatch(handle.readline().rstrip("\r\n"))
+        if settings is None:
+            raise MergeError(
+                f"{path}: line 1 is not the split's settings '# mode=<intsplit|plain> "
+                f"depth=<n>'; a directory split by an older version must be split again"
+            )
+        for row_no, row in enumerate(csv.reader(handle), start=2):
             if not row or row[0].strip() in ("", "index"):
                 continue
             if len(row) != 2:
@@ -316,17 +334,17 @@ def read_manifest(path: str | Path) -> list[ExpansionIndex]:
             except ValueError:
                 raise MergeError(f"{path}: row {row_no} is not a valid plan entry") from None
             entries.append(ExpansionIndex(index, tuple(literals)))
-    return entries
+    return Manifest(SplitMode(settings[1]), int(settings[2]), tuple(entries))
 
 
-def verify_manifest(split_plan: SplitPlan, entries: Sequence[ExpansionIndex]) -> None:
-    """Fail if the manifest does not match the recomputed plan exactly."""
+def verify_manifest(split_plan: SplitPlan, manifest: Manifest) -> None:
+    """Fail if the manifest's entries do not match the plan exactly."""
     total = count_subproblems(split_plan)
-    if len(entries) != total:
+    if len(manifest.entries) != total:
         raise MergeError(
-            f"manifest lists {len(entries)} sub-problems but the plan yields {total}"
+            f"manifest lists {len(manifest.entries)} sub-problems but the plan yields {total}"
         )
-    for expected, found in zip(enumerate_accounted(split_plan), entries):
+    for expected, found in zip(enumerate_accounted(split_plan), manifest.entries):
         if expected != found:
             raise MergeError(
                 f"manifest entry {found.index} does not match the plan "

@@ -26,7 +26,6 @@ from intsplits import (
     Top,
     bits_of,
     check_correctness,
-    efficiency,
     enumerate_accounted,
     evaluate,
     ingest,
@@ -104,9 +103,9 @@ def test_criterion_3_efficiency_arithmetic(tmp_path, capsys):
         )
 
     exact = (
-        efficiency(annotated(2, Less(3))) == Fraction(1, 3)
-        and efficiency(annotated(2, Top())) == Fraction(0)
-        and efficiency(annotated(5, Less(19))) == Fraction(13, 19)
+        annotated(2, Less(3)).eta == Fraction(1, 3)
+        and annotated(2, Top()).eta == Fraction(0)
+        and annotated(5, Less(19)).eta == Fraction(13, 19)
     )
     path = tmp_path / "stats.qdimacs"
     path.write_text("cs int <19\np cnf 5 1\ne 1 2 3 4 5 0\n1 0\n")

@@ -336,7 +336,7 @@ def test_manifest_bytes_that_are_not_utf8(fig1, tmp_path, capsys):
     assert run_cli("run", out) == 1
     assert run_cli("merge", fig1, out) == 1
     err = capsys.readouterr().err
-    assert err.count("plan.csv: row 11 has 1 fields") == 2
+    assert err.count("plan.csv: row 12 has 1 fields") == 2
     assert "Traceback" not in err
 
 
@@ -350,14 +350,62 @@ def _usage_error(capsys, *args):
     return err
 
 
-@pytest.mark.parametrize("command", ["split", "stats", "merge"])
+@pytest.mark.parametrize("command", ["split", "stats"])
 def test_depth_below_one_is_a_usage_error(command, fig1, tmp_path, capsys):
-    out = tmp_path / "out"
-    run_cli("split", fig1, "--depth", 4, "--out", out)
     args = {"split": ("split", fig1, "--out", tmp_path / "zero"), "stats": ("stats", fig1)}
-    err = _usage_error(capsys, *args.get(command, ("merge", fig1, out)), "--depth", 0)
+    err = _usage_error(capsys, *args[command], "--depth", 0)
     assert "--depth: '0' is not a finite int above 0" in err
     assert not (tmp_path / "zero").exists()
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [("merge", "--depth=4"), ("merge", "--no-intsplits"), ("run", "--strict")],
+)
+def test_removed_run_and_merge_options_are_usage_errors(command, option, fig1, tmp_path, capsys):
+    args = ("run", tmp_path) if command == "run" else ("merge", fig1, tmp_path)
+    assert f"unrecognized arguments: {option}" in _usage_error(capsys, *args, option)
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        run_cli(command, "--help")
+    assert option.split("=")[0] not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", [(), ("--no-intsplits",)], ids=["intsplit", "plain"])
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_merge_takes_mode_and_depth_from_the_split(depth, mode, fig1, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("split", fig1, "--depth", depth, "--out", out, *mode) == 0
+    split_summary = capsys.readouterr().err.split("subproblems: ")[1].splitlines()[0]
+    with_count, without_count, ratio = (item.split("=")[1] for item in split_summary.split())
+    assert run_cli("run", out) == 0
+    capsys.readouterr()
+    assert run_cli("merge", fig1, out) == 0
+    report = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+    assert report["subproblems_with"] == with_count
+    assert report["subproblems_without"] == without_count
+    assert float(report["ratio"]) == float(ratio)
+    assert report["final_result"] == "TRUE"
+    if (depth, mode) == (3, ()):
+        assert (report["subproblems_without"], report["ratio"]) == ("8", "0.375")
+    if (depth, mode) == (4, ("--no-intsplits",)):
+        assert report["subproblems_with"] == "16"
+
+
+@pytest.mark.parametrize("command", ["run", "merge"])
+def test_a_plan_without_the_split_settings_is_refused(command, fig1, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("split", fig1, "--depth", 4, "--out", out) == 0
+    manifest = out / "plan.csv"
+    manifest.write_bytes(manifest.read_bytes().split(b"\r\n", 1)[1])
+    capsys.readouterr()
+    args = ("run", out) if command == "run" else ("merge", fig1, out)
+    assert run_cli(*args) == 1
+    err = capsys.readouterr().err
+    assert "plan.csv: line 1 is not the split's settings" in err
+    assert "must be split again" in err and "Traceback" not in err
+    assert not (out / "results.csv").exists()
+    assert not (out / "merge_report.txt").exists()
 
 
 @pytest.mark.parametrize(
@@ -649,25 +697,24 @@ def test_a_signal_ends_run_and_every_process_it_started(signum, solver, tmp_path
     assert (out / "results.csv").read_text() == "index,result,time_seconds\n"
 
 
-def test_oracle_workers_end_after_run_is_killed(tmp_path):
+@pytest.mark.parametrize("timeout", ["1", "30"])
+def test_oracle_workers_end_after_run_is_killed(timeout, tmp_path):
     formula = _quantified_chain(tmp_path / "chain.qdimacs", 22)
     out = tmp_path / "out"
     assert run_cli("split", formula, "--depth", 2, "--out", out) == 0
     env = {**os.environ, "PYTHONPATH": str(Path(intsplits.__file__).parents[1])}
-    child = subprocess.Popen(
-        [sys.executable, "-m", "intsplits.cli", "run", str(out), "--jobs", "2", "--timeout", "1"],
-        env=env,
-        stderr=subprocess.PIPE,
-        start_new_session=True,
-    )
+    argv = [sys.executable, "-m", "intsplits.cli", "run", str(out), "--jobs", "2", "--timeout", timeout]
+    # stderr goes to a file: the workers inherit it, and a pipe would stay
+    # open until the last of them had ended.
+    with (tmp_path / "stderr").open("wb") as err:
+        child = subprocess.Popen(argv, env=env, stderr=err, start_new_session=True)
     try:
         time.sleep(0.5)
         child.kill()
-        _, err = child.communicate(timeout=30)
-        # Nothing can stop the workers' running tasks; each worker ends
-        # when its task reaches the deadline and finds no parent to report to.
-        deadline = time.monotonic() + 5
-        while time.monotonic() < deadline:
+        killed = time.monotonic()
+        child.wait(timeout=30)
+        # The workers' tasks run for seconds; only their parent's death ends them.
+        while time.monotonic() - killed < 5:
             try:
                 os.killpg(child.pid, 0)
             except ProcessLookupError:
@@ -678,7 +725,7 @@ def test_oracle_workers_end_after_run_is_killed(tmp_path):
     finally:
         with contextlib.suppress(ProcessLookupError):
             os.killpg(child.pid, signal.SIGKILL)
-    assert b"Traceback" not in err
+    assert b"Traceback" not in (tmp_path / "stderr").read_bytes()
 
 
 def test_solver_side_files_do_not_break_resume(fig1, tmp_path, capsys):

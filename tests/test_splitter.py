@@ -258,14 +258,15 @@ def test_dimacs_mode_split(tmp_path):
 def test_manifest_roundtrip_and_verification(tmp_path):
     chosen = plan(FIG1, 4)
     split_formula(FIG1, chosen, tmp_path, "fig1.qdimacs")
-    entries = read_manifest(tmp_path / "plan.csv")
-    assert entries == list(enumerate_accounted(chosen))
-    verify_manifest(chosen, entries)
+    manifest = read_manifest(tmp_path / "plan.csv")
+    assert (manifest.mode, manifest.depth) == (SplitMode.INTSPLIT, 4)
+    assert manifest.entries == tuple(enumerate_accounted(chosen))
+    verify_manifest(chosen, manifest)
     from intsplits import MergeError
 
     other = plan(FIG1, 4, SplitMode.PLAIN)
     with pytest.raises(MergeError):
-        verify_manifest(other, entries)
+        verify_manifest(other, manifest)
 
 
 def test_split_then_solve_matches_direct_evaluation(tmp_path):
@@ -292,12 +293,12 @@ def test_split_then_solve_matches_direct_evaluation(tmp_path):
 
 FIG1_PLAN_CSV = {
     SplitMode.INTSPLIT: (
-        "index,assignment\r\n"
+        "# mode=intsplit depth=4\r\nindex,assignment\r\n"
         "0,1=0;2=0;3=0;4=0\r\n1,1=0;2=0;3=0;4=1\r\n2,1=0;2=0;3=1;4=0\r\n"
         "3,1=0;2=1;3=0;4=0\r\n4,1=0;2=1;3=0;4=1\r\n5,1=0;2=1;3=1;4=0\r\n"
         "6,1=1;2=0;3=0;4=0\r\n7,1=1;2=0;3=0;4=1\r\n8,1=1;2=0;3=1;4=0\r\n"
     ),
-    SplitMode.PLAIN: "index,assignment\r\n"
+    SplitMode.PLAIN: "# mode=plain depth=4\r\nindex,assignment\r\n"
     + "".join(
         f"{i},1={i >> 3 & 1};2={i >> 2 & 1};3={i >> 1 & 1};4={i & 1}\r\n" for i in range(16)
     ),
@@ -339,11 +340,12 @@ def test_fig1_plan_csv_bytes(mode, tmp_path):
 )
 def test_triple_19_plan_csv_rows(mode, count, rows, tmp_path):
     lines = write_manifest(plan(TRIPLE_19, 10, mode), tmp_path).read_bytes().split(b"\r\n")
-    assert lines[0] == b"index,assignment"
+    assert lines[0] == f"# mode={mode.value} depth=10".encode()
+    assert lines[1] == b"index,assignment"
     assert lines[-1] == b""
-    assert len(lines) == count + 2
+    assert len(lines) == count + 3
     for index, row in rows.items():
-        assert lines[index + 1] == row.encode()
+        assert lines[index + 2] == row.encode()
 
 
 @pytest.mark.parametrize(
@@ -355,4 +357,17 @@ def test_read_manifest_rejects_invalid_entries(row, tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join([lines[0], row, *lines[2:]]) + "\n")
     with pytest.raises(MergeError, match="row 2 is not a valid plan entry"):
+        read_manifest(path)
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [[], [""], ["# mode=intsplit"], ["# mode=binary depth=4"], ["# mode=plain depth=0"]],
+    ids=["missing", "blank", "no-depth", "unknown-mode", "depth-0"],
+)
+def test_read_manifest_requires_the_split_settings(settings, tmp_path):
+    path = write_manifest(plan(FIG1, 4), tmp_path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([*settings, *lines[1:]]) + "\n")
+    with pytest.raises(MergeError, match="line 1 is not the split's settings .* split again"):
         read_manifest(path)
