@@ -78,7 +78,6 @@ from .evaluator import (
     EvalBudget,
     check_correctness,
     evaluate,
-    evaluate_instrumented,
     evaluate_with_intsplits,
 )
 

@@ -351,10 +351,22 @@ def _existing_results(path: Path) -> tuple[dict[int, ResultTuple], bool]:
 def cmd_run(args: argparse.Namespace) -> int:
     directory = Path(args.dir)
     manifest = read_manifest(directory / MANIFEST_NAME)
-    files = subproblem_files(directory, len(manifest.entries))
+    total = len(manifest.entries)
+    files = subproblem_files(directory, total)
+    unlisted = [index for index in files if index >= total]
+    if unlisted:
+        raise IntsplitsError(
+            f"{MANIFEST_NAME} lists {total} sub-problems, but {directory} also holds "
+            f"files for indices: {format_indices(unlisted)}; split into an empty directory"
+        )
     results_path = directory / RESULTS_NAME
     done, intact = _existing_results(results_path)
-    pending = [entry.index for entry in manifest.entries if entry.index not in done]
+    outside = [index for index in done if not 0 <= index < total]
+    if outside:
+        raise UnparsableRowError(
+            f"{results_path}: index {outside[0]} outside the plan (0..{total - 1})"
+        )
+    pending = [index for index in range(total) if index not in done]
     missing = [index for index in pending if index not in files]
     if missing:
         raise IntsplitsError(

@@ -27,7 +27,6 @@ __all__ = [
     "CorrectnessVerdict",
     "evaluate",
     "evaluate_with_intsplits",
-    "evaluate_instrumented",
     "check_correctness",
 ]
 
@@ -38,12 +37,11 @@ _DEADLINE_CHECK_INTERVAL = 256
 class EvalBudget:
     """Limits for the exponential recursion.
 
-    deadline is an absolute time.monotonic() timestamp; it is polled every
-    few hundred recursion steps.
+    deadline is an absolute time.monotonic() timestamp; it is polled at the
+    first recursion step and at every 256th after it.
     """
 
     max_variables: int = 25
-    max_nodes: int | None = None
     deadline: float | None = None
 
 
@@ -69,31 +67,6 @@ class CorrectnessVerdict:
 
 def _tf(value: bool) -> str:
     return "TRUE" if value else "FALSE"
-
-
-class _Run:
-    __slots__ = ("budget", "short_circuit", "nodes", "leaves", "suffix_branches")
-
-    def __init__(self, budget: EvalBudget, short_circuit: bool, suffix_branches: list[int]):
-        self.budget = budget
-        self.short_circuit = short_circuit
-        self.nodes = 0
-        self.leaves = 0
-        # suffix_branches[i]: leaf branches below a node at step i, used to
-        # count whole expansion branches when the matrix decides early
-        self.suffix_branches = suffix_branches
-
-    def tick(self) -> None:
-        self.nodes += 1
-        budget = self.budget
-        if budget.max_nodes is not None and self.nodes > budget.max_nodes:
-            raise BudgetExceededError(f"evaluation exceeded {budget.max_nodes} nodes")
-        if (
-            budget.deadline is not None
-            and (self.nodes == 1 or self.nodes % _DEADLINE_CHECK_INTERVAL == 0)
-            and time.monotonic() > budget.deadline
-        ):
-            raise BudgetExceededError("evaluation deadline exceeded")
 
 
 class _Literals(dict):
@@ -127,83 +100,53 @@ def _steps(formula: Formula, use_intsplits: bool) -> list[_Step]:
     return steps
 
 
-def _descend(
-    clauses: tuple[tuple[int, ...], ...], steps: list[_Step], depth: int, run: _Run
-) -> int:
-    # Every clause here is part of a clause of the validated input matrix.
-    run.tick()
-    if () in clauses:
-        run.leaves += run.suffix_branches[depth]
-        return 0
-    if not clauses:
-        run.leaves += run.suffix_branches[depth]
-        return 1
-    if depth == len(steps):
-        raise FormulaError("matrix undecided after the full prefix; formula is not closed")
-    kind, values, literals = steps[depth]
-    result = 1 if kind is QuantifierKind.FORALL else 0
-    for value in values:
-        sub = _descend(simplify(clauses, literals[value]), steps, depth + 1, run)
-        if kind is QuantifierKind.EXISTS:
-            if sub:
-                result = 1
-                if run.short_circuit:
-                    break
-        else:
-            if not sub:
-                result = 0
-                if run.short_circuit:
-                    break
-    return result
-
-
-def _evaluate(
-    formula: Formula,
-    budget: EvalBudget,
-    use_intsplits: bool,
-    short_circuit: bool,
-) -> tuple[int, int]:
+def _search(formula: Formula, budget: EvalBudget, use_intsplits: bool) -> bool:
     count = len(formula.prefix_variables())
     if count > budget.max_variables:
         raise BudgetExceededError(
             f"{count} quantified variables exceed the budget of {budget.max_variables}"
         )
     steps = _steps(formula, use_intsplits)
-    suffix = [1] * (len(steps) + 1)
-    for at in range(len(steps) - 1, -1, -1):
-        suffix[at] = suffix[at + 1] * len(steps[at][1])
-    run = _Run(budget, short_circuit, suffix)
-    value = _descend(formula.matrix.clauses, steps, 0, run)
-    return value, run.leaves
+    deadline = budget.deadline
+    nodes = 0
+
+    def descend(clauses: tuple[tuple[int, ...], ...], depth: int) -> bool:
+        # Every clause here is part of a clause of the validated input matrix.
+        nonlocal nodes
+        nodes += 1
+        if (
+            deadline is not None
+            and (nodes == 1 or nodes % _DEADLINE_CHECK_INTERVAL == 0)
+            and time.monotonic() > deadline
+        ):
+            raise BudgetExceededError("evaluation deadline exceeded")
+        if () in clauses:
+            return False
+        if not clauses:
+            return True
+        if depth == len(steps):
+            raise FormulaError("matrix undecided after the full prefix; formula is not closed")
+        kind, values, literals = steps[depth]
+        # An existential step is decided by its first true branch, a
+        # universal one by its first false branch.
+        exists = kind is QuantifierKind.EXISTS
+        for value in values:
+            if descend(simplify(clauses, literals[value]), depth + 1) is exists:
+                return exists
+        return not exists
+
+    return descend(formula.matrix.clauses, 0)
 
 
 def evaluate(formula: Formula, budget: EvalBudget | None = None) -> bool:
     """Truth value under standard QBF semantics, annotations ignored."""
-    value, _ = _evaluate(formula, budget or DEFAULT_BUDGET, False, True)
-    return bool(value)
+    return _search(formula, budget or DEFAULT_BUDGET, False)
 
 
 def evaluate_with_intsplits(formula: Formula, budget: EvalBudget | None = None) -> bool:
     """Truth value with bounded quantification: annotated quantifiers range
     over their accounted expansions only."""
-    value, _ = _evaluate(formula, budget or DEFAULT_BUDGET, True, True)
-    return bool(value)
-
-
-def evaluate_instrumented(
-    formula: Formula,
-    budget: EvalBudget | None = None,
-    use_intsplits: bool = False,
-) -> tuple[bool, int]:
-    """Evaluation without short-circuiting; returns (value, visited leaves).
-
-    A leaf is one full expansion branch of the quantification tree; branches
-    cut off by a decided matrix still count with their multiplicity, so the
-    totals are deterministic and comparable between bounded and unbounded
-    semantics (2^n versus the product of accounted counts).
-    """
-    value, leaves = _evaluate(formula, budget or DEFAULT_BUDGET, use_intsplits, False)
-    return bool(value), leaves
+    return _search(formula, budget or DEFAULT_BUDGET, True)
 
 
 def check_correctness(formula: Formula, budget: EvalBudget | None = None) -> CorrectnessVerdict:

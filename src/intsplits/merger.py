@@ -253,10 +253,10 @@ def reduce_level(
 class MergeReport:
     """Certificate of the reduction: every intermediate level of tuples.
 
-    levels[0] holds the leaves in index order; each following level is the
-    result of folding the innermost remaining quantifier; levels[-1] is the
-    final verdict alone.  reductions[i] records the quantifier kind and
-    group size applied between level i and i+1.
+    levels[0] holds the sub-problem results in index order; each following
+    level is the result of folding the innermost remaining quantifier;
+    levels[-1] is the final verdict alone.  reductions[i] records the
+    quantifier kind and group size applied between level i and i+1.
     """
 
     levels: tuple[tuple[ResultTuple, ...], ...]

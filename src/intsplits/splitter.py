@@ -213,7 +213,7 @@ def _aligned_prefix(
     blocks: Sequence[QuantifierBlock], candidates: Sequence[AnnotatedQuantifier]
 ) -> tuple[AnnotatedQuantifier, ...]:
     # Keep the longest front-aligned chain; a plain-mode cut through a
-    # bit-vector leaves unclaimable variables that invalidate the rest.
+    # bit-vector strands unclaimable variables that invalidate the rest.
     cursor = AnnotationCursor(blocks)
     kept: list[AnnotatedQuantifier] = []
     for aq in candidates:
@@ -333,6 +333,8 @@ def read_manifest(path: str | Path) -> Manifest:
                         literals.append(var if bit else -var)
             except ValueError:
                 raise MergeError(f"{path}: row {row_no} is not a valid plan entry") from None
+            if index != len(entries):
+                raise MergeError(f"{path}: row {row_no} has index {index}, expected {len(entries)}")
             entries.append(ExpansionIndex(index, tuple(literals)))
     return Manifest(SplitMode(settings[1]), int(settings[2]), tuple(entries))
 

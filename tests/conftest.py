@@ -79,6 +79,40 @@ def all_bitvectors(width: int):
     return itertools.product((0, 1), repeat=width)
 
 
+def reference_bounded_value(formula: Formula) -> bool:
+    """Independent bounded semantics: walk the prefix block by block; an
+    annotated bit-vector of the block ranges over the bit patterns
+    reference_accounted admits, every other variable over {0, 1}.  The
+    matrix is checked on full assignments only."""
+    blocks = [(block.kind.value, block.variables) for block in formula.prefix]
+    if not formula.prefix:
+        blocks = [("e", tuple(range(1, formula.matrix.variable_count + 1)))]
+    steps = []  # (kind, variables, admitted bit patterns)
+    for kind, variables in blocks:
+        claimed = set()
+        for aq in formula.annotations:
+            vector = aq.bitvector.variables
+            if set(vector) <= set(variables):
+                admitted = [
+                    bits
+                    for bits in all_bitvectors(len(vector))
+                    if reference_accounted(aq.constraints, bits)
+                ]
+                steps.append((kind, vector, admitted))
+                claimed.update(vector)
+        steps.extend((kind, (v,), [(0,), (1,)]) for v in variables if v not in claimed)
+    clauses = list(formula.matrix.clauses)
+
+    def rec(at: int, assignment: dict[int, int]) -> bool:
+        if at == len(steps):
+            return all(clause_satisfied(c, assignment) for c in clauses)
+        kind, variables, admitted = steps[at]
+        values = [rec(at + 1, {**assignment, **dict(zip(variables, bits))}) for bits in admitted]
+        return any(values) if kind == "e" else all(values)
+
+    return rec(0, {})
+
+
 def legacy_parse(text: str):
     """Minimal legacy-style reader: any line starting with 'c' is a comment.
 

@@ -560,6 +560,58 @@ def test_run_and_merge_reject_an_invalid_plan_entry(command, fig1, tmp_path, cap
     assert not (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "merge"])
+def test_run_and_merge_reject_a_repeated_plan_entry(command, fig1, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("split", fig1, "--depth", 4, "--out", out) == 0
+    manifest = out / "plan.csv"
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join([*lines, lines[5]]) + "\n")
+    capsys.readouterr()
+    args = ("run", out) if command == "run" else ("merge", fig1, out)
+    assert run_cli(*args) == 1
+    assert "plan.csv: row 12 has index 3, expected 9" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
+def test_run_refuses_sub_problem_files_the_plan_does_not_list(fig1, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("split", fig1, "--depth", 4, "--out", out) == 0
+    manifest = out / "plan.csv"
+    full = manifest.read_text()
+    manifest.write_text("".join(full.splitlines(keepends=True)[:2]))  # cut after the header
+    capsys.readouterr()
+    assert run_cli("run", out) == 1
+    err = capsys.readouterr().err
+    assert "lists 0 sub-problems" in err and "indices: 0, 1, 2, 3, 4, 5, 6, 7, 8;" in err
+    assert not (out / "results.csv").exists()
+
+    # a smaller split over a stale larger one of the same formula
+    manifest.write_text(full)
+    assert run_cli("split", fig1, "--depth", 2, "--out", out, "--force") == 0
+    capsys.readouterr()
+    assert run_cli("run", out) == 1
+    assert "lists 3 sub-problems" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "rows, index",
+    [("99,TRUE,0.1\n", 99), ("0,TRUE,1.0\n-1,TRUE,0.1\n1,TR", -1)],
+    ids=["above", "below-with-a-cut-row"],
+)
+def test_run_refuses_result_rows_outside_the_plan(rows, index, fig1, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("split", fig1, "--depth", 4, "--out", out) == 0
+    results = out / "results.csv"
+    results.write_text("index,result,time_seconds\n" + rows)
+    before = results.read_bytes()
+    capsys.readouterr()
+    assert run_cli("run", out) == 1
+    assert f"index {index} outside the plan (0..8)" in capsys.readouterr().err
+    assert results.read_bytes() == before
+
+
 def test_external_solver_tracks_concurrent_tasks(tmp_path):
     solver = _ExternalSolver(["sh", "-c", "exit 20", "{file}"])
     interval = sys.getswitchinterval()

@@ -11,12 +11,15 @@ from conftest import (
     A,
     E,
     random_annotated_formula,
+    random_constraint,
+    reference_bounded_value,
     reference_value_of_formula,
 )
 from intsplits import (
     AnnotatedQuantifier,
     BitVectorVar,
     BudgetExceededError,
+    CorrectnessVerdict,
     EvalBudget,
     Formula,
     Less,
@@ -25,7 +28,6 @@ from intsplits import (
     Top,
     check_correctness,
     evaluate,
-    evaluate_instrumented,
     evaluate_with_intsplits,
     parse,
 )
@@ -50,18 +52,6 @@ def test_degenerate_matrices():
 def test_prefix_free_files_are_existential():
     assert evaluate(parse("p cnf 2 2\n1 2 0\n-1 -2 0\n")) is True
     assert evaluate(parse("p cnf 1 2\n1 0\n-1 0\n")) is False
-
-
-def test_bounded_quantification_branch_count():
-    formula = parse(
-        "cs int [1 2] <3\ncs int [3 4] <3\n"
-        "p cnf 4 4\na 1 2 0\ne 3 4 0\n-1 3 0\n1 -3 0\n-2 4 0\n2 -4 0\n"
-    )
-    unbounded, full_leaves = evaluate_instrumented(formula, use_intsplits=False)
-    bounded, pruned_leaves = evaluate_instrumented(formula, use_intsplits=True)
-    assert unbounded is True and bounded is True
-    assert pruned_leaves == 9
-    assert full_leaves == 16
 
 
 def test_top_only_annotations_match_plain_semantics():
@@ -109,6 +99,45 @@ def test_matches_reference_semantics_on_random_formulas():
         assert evaluate(formula) == reference_value_of_formula(formula)
 
 
+def test_bounded_and_plain_semantics_match_the_references():
+    # one or two constraints per bit-vector, drawn at random and not
+    # filtered by the checker, so the bounds often change the truth value
+    rng = random.Random(20261018)
+    differ = 0
+    for _ in range(60):
+        base = random_annotated_formula(rng, max_vars=9, require_correct=False)
+        annotations = tuple(
+            AnnotatedQuantifier(
+                aq.kind,
+                aq.bitvector,
+                tuple(random_constraint(rng, aq.width) for _ in range(rng.randint(1, 2))),
+            )
+            for aq in base.annotations
+        )
+        formula = Formula(base.matrix, base.prefix, annotations)
+        plain = reference_value_of_formula(formula)
+        bounded = reference_bounded_value(formula)
+        assert evaluate(formula) is plain
+        assert evaluate_with_intsplits(formula) is bounded
+        assert check_correctness(formula) == CorrectnessVerdict(bounded == plain, bounded, plain)
+        differ += bounded != plain
+    assert differ > 0
+
+    # annotations the checker accepted keep the truth value
+    for _ in range(25):
+        formula = random_annotated_formula(rng, max_vars=9)
+        value = reference_value_of_formula(formula)
+        assert reference_bounded_value(formula) is value
+        assert evaluate(formula) is value and evaluate_with_intsplits(formula) is value
+
+    crossed = parse(
+        "cs int [1 2] <3\ncs int [3 4] <3\n"
+        "p cnf 4 4\na 1 2 0\ne 3 4 0\n-1 3 0\n1 -3 0\n-2 4 0\n2 -4 0\n"
+    )
+    assert reference_value_of_formula(crossed) is reference_bounded_value(crossed) is True
+    assert evaluate(crossed) is evaluate_with_intsplits(crossed) is True
+
+
 def test_bitwise_and_vectorwise_evaluation_agree():
     # grouping plain variables into unrestricted vectors must not change
     # anything, whatever the grouping
@@ -119,31 +148,6 @@ def test_bitwise_and_vectorwise_evaluation_agree():
         assert evaluate_with_intsplits(formula) == evaluate(plain)
 
 
-def test_monotone_pruning_leaf_counts():
-    rng = random.Random(4242)
-    seen_strict = False
-    for _ in range(25):
-        formula = random_annotated_formula(rng, max_vars=9)
-        value_full, leaves_full = evaluate_instrumented(formula, use_intsplits=False)
-        value_cut, leaves_cut = evaluate_instrumented(formula, use_intsplits=True)
-        assert value_full == value_cut  # annotations are correct by construction
-        assert leaves_cut <= leaves_full
-        all_top = all(aq.s == (1 << aq.width) for aq in formula.annotations)
-        if all_top:
-            assert leaves_cut == leaves_full
-        elif leaves_cut < leaves_full:
-            seen_strict = True
-    assert seen_strict
-
-
-def test_evaluation_is_deterministic():
-    formula = parse(
-        "cs int [1 2] <3\np cnf 3 2\ne 1 2 0\na 3 0\n1 3 0\n-2 -3 0\n"
-    )
-    runs = {evaluate_instrumented(formula, use_intsplits=True) for _ in range(5)}
-    assert len(runs) == 1
-
-
 def test_budget_limits():
     wide = Formula(
         Matrix.from_ints([(1,)], 26),
@@ -152,8 +156,5 @@ def test_budget_limits():
     with pytest.raises(BudgetExceededError):
         evaluate(wide)
     assert evaluate(wide, EvalBudget(max_variables=26)) is True
-    small = Formula(XOR_MATRIX, (QuantifierBlock(A, (1,)), QuantifierBlock(E, (2,))))
-    with pytest.raises(BudgetExceededError):
-        evaluate(small, EvalBudget(max_nodes=2))
     with pytest.raises(BudgetExceededError):
         evaluate(wide, EvalBudget(max_variables=30, deadline=0.0))

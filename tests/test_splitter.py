@@ -361,6 +361,25 @@ def test_read_manifest_rejects_invalid_entries(row, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "order, row, found, expected",
+    [("repeated", 12, 3, 9), ("skipped", 7, 5, 4), ("reordered", 3, 1, 0)],
+    ids=["repeated", "skipped", "reordered"],
+)
+def test_read_manifest_requires_each_index_at_its_position(order, row, found, expected, tmp_path):
+    path = write_manifest(plan(FIG1, 4), tmp_path)
+    lines = path.read_text().splitlines()
+    entries = lines[2:]
+    edited = {
+        "repeated": [*entries, entries[3]],
+        "skipped": [*entries[:4], *entries[5:]],
+        "reordered": [entries[1], entries[0], *entries[2:]],
+    }[order]
+    path.write_text("\n".join([*lines[:2], *edited]) + "\n")
+    with pytest.raises(MergeError, match=f"row {row} has index {found}, expected {expected}$"):
+        read_manifest(path)
+
+
+@pytest.mark.parametrize(
     "settings",
     [[], [""], ["# mode=intsplit"], ["# mode=binary depth=4"], ["# mode=plain depth=0"]],
     ids=["missing", "blank", "no-depth", "unknown-mode", "depth-0"],
