@@ -17,10 +17,8 @@ import shlex
 import signal
 import subprocess
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
-from contextlib import closing, contextmanager
+from contextlib import closing, contextmanager, suppress
 from itertools import islice
 from multiprocessing.connection import Connection, wait
 from pathlib import Path
@@ -113,6 +111,10 @@ def cmd_split(args: argparse.Namespace) -> int:
     formula = _load(args)
     split_plan = plan(formula, args.depth, _mode(args))
     out_dir = Path(args.out)
+    results = out_dir / RESULTS_NAME
+    if results.exists() and not args.force:
+        raise FileExistsError(f"{results} holds the results of an earlier split (use --force to delete it)")
+    results.unlink(missing_ok=True)
     paths = split_formula(formula, split_plan, out_dir, Path(args.formula).name, args.force)
     _say(_annotation_table(formula))
     _say(_plan_summary(split_plan))
@@ -125,57 +127,63 @@ def cmd_split(args: argparse.Namespace) -> int:
     return 0
 
 
-class _ExternalSolver:
-    """A solver command template, run with a sub-problem's path put for
-    `{file}`.  Each task's solver starts in its own session, so a timeout
-    ends its whole process group, a wrapper's children too.  The terminal's
-    Ctrl-C does not reach such groups; `stop` ends the ones still running
-    and refuses to start more."""
+_STOP_SIGNALS = (signal.SIGTERM, signal.SIGHUP)
+_solver_pid = 0  # the solver a worker waits on, for its stop handler; a worker has one thread
 
-    def __init__(self, template: list[str]):
-        self.template = template
-        self._lock = threading.Lock()
-        self._running: set[int] = set()
-        self._stopped = False
 
-    def exit_code(self, path: Path, timeout: float) -> int:
-        """The solver's exit code; raises subprocess.TimeoutExpired after
-        killing the group of a solver that outlives `timeout`."""
-        command = [token.replace("{file}", str(path)) for token in self.template]
-        with self._lock:
-            if self._stopped:
-                raise OSError("the run was stopped")
-            process = subprocess.Popen(
-                command, stdout=DEVNULL, stderr=DEVNULL, start_new_session=True
-            )
-            self._running.add(process.pid)
-        try:
-            return process.wait(timeout)
-        finally:
-            with self._lock:
-                self._running.discard(process.pid)
-                if process.returncode is None:
-                    _kill_group(process.pid)
-            process.wait()
-
-    def stop(self) -> None:
-        with self._lock:
-            self._stopped = True
-            for pid in self._running:
-                _kill_group(pid)
+@contextmanager
+def _stop_signals_held() -> Iterator[None]:
+    """SIGTERM and SIGHUP wait until the block ends; a process forked in it starts with both blocked."""
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
 
 
 def _kill_group(pid: int) -> None:
-    try:
+    with suppress(ProcessLookupError):
         os.killpg(pid, signal.SIGKILL)
-    except ProcessLookupError:
-        pass
 
 
-def _solve(path: Path, solver: _ExternalSolver | None, timeout: float) -> ResultTuple:
+def _end_worker(signum: int, frame: object) -> None:
+    """A worker's SIGTERM and SIGHUP handler: end its solver's group, then the worker."""
+    if _solver_pid:
+        _kill_group(_solver_pid)
+    os._exit(128 + signum)
+
+
+def _solver_signals() -> None:
+    """Runs in a solver's process before exec: an ignored signal and a blocked
+    mask survive exec, and the worker's Ctrl-C and stop signals are not the solver's."""
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
+
+
+def _exit_code(template: list[str], path: Path, timeout: float) -> int:
+    """The exit code of solver command `template` with `path` put for `{file}`.
+    The solver starts in its own session, so a timeout kills its whole process
+    group, a wrapper's children too, and raises subprocess.TimeoutExpired."""
+    global _solver_pid
+    command = [token.replace("{file}", str(path)) for token in template]
+    with _stop_signals_held():  # no stop between the start and the record
+        process = subprocess.Popen(
+            command, stdout=DEVNULL, stderr=DEVNULL, start_new_session=True, preexec_fn=_solver_signals
+        )
+        _solver_pid = process.pid
+    try:
+        return process.wait(timeout)
+    finally:
+        if process.returncode is None:
+            _kill_group(process.pid)
+        _solver_pid = 0
+        process.wait()
+
+
+def _solve(path: Path, solver: list[str] | None, timeout: float) -> ResultTuple:
     """Solve one sub-problem with the built-in oracle (`solver` None) or an
-    external solver that exits 10 for true and 20 for false.  Anything else
-    is UNKNOWN, timed min(elapsed, timeout)."""
+    external solver command that exits 10 for true and 20 for false.
+    Anything else is UNKNOWN, timed min(elapsed, timeout)."""
     started = time.monotonic()
     code = ResultCode.UNKNOWN
     try:
@@ -184,7 +192,7 @@ def _solve(path: Path, solver: _ExternalSolver | None, timeout: float) -> Result
             value = evaluate(formula, EvalBudget(deadline=started + timeout))
             code = ResultCode.TRUE if value else ResultCode.FALSE
         else:
-            code = _EXIT_CODES.get(solver.exit_code(path, timeout), ResultCode.UNKNOWN)
+            code = _EXIT_CODES.get(_exit_code(solver, path, timeout), ResultCode.UNKNOWN)
     except (IntsplitsError, OSError, subprocess.TimeoutExpired):
         pass
     elapsed = time.monotonic() - started
@@ -195,49 +203,51 @@ _Task = tuple[int, Path]  # a sub-problem's index and file
 _Batch = list[tuple[int, ResultTuple]]  # results that reach `run` together
 
 
-def _oracle_worker(
-    connection: Connection, inherited: list[Connection], parent: int, timeout: float
+def _worker(
+    connection: Connection, inherited: list[Connection], parent: int, solver: list[str] | None, timeout: float
 ) -> None:
-    """Worker process: solve each chunk of tasks the parent sends with the
-    built-in oracle and send back their results, until it sends None or
-    has ended."""
-    # Linux kills a worker whose `run` dies, unless it died before this call.
+    """Worker process: solve each chunk of tasks the parent sends and send
+    back their results, until it sends None or has ended."""
+    # Linux stops a worker whose `run` dies, unless it died before this call.
     if sys.platform == "linux":
         import ctypes  # here, so that `run` itself does not load it
         prctl = ctypes.CDLL(None).prctl
         prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
-        prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG
+        prctl(1, signal.SIGTERM)  # 1 is PR_SET_PDEATHSIG
     if os.getppid() != parent:
         return
     # Ctrl-C reaches the terminal's whole process group; the parent alone
-    # acts on it.  SIGTERM and SIGHUP end a worker at once, whatever Python
-    # handler it inherited with the fork.
+    # acts on it.  SIGTERM and SIGHUP, blocked since the fork, end a worker
+    # and its solver at once, whatever Python handler it inherited.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGHUP, signal.SIG_DFL)
+    for signum in _STOP_SIGNALS:
+        signal.signal(signum, _end_worker)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
     # The parent's ends of the pipes, copied by the fork: while a worker
     # holds one, the parent's death is no end of file for that pipe.
     for end in inherited:
         end.close()
     try:
         while (chunk := connection.recv()) is not None:
-            connection.send([(index, _solve(path, None, timeout)) for index, path in chunk])
+            connection.send([(index, _solve(path, solver, timeout)) for index, path in chunk])
     except (EOFError, BrokenPipeError):
         pass  # `run` was killed; the results have nowhere to go
 
 
-def _oracle_results(tasks: list[_Task], jobs: int, timeout: float) -> Iterator[_Batch]:
-    """Solve `tasks` with the built-in oracle in up to `jobs` forked worker
-    processes; yields each chunk's results as they arrive.
+def _results(tasks: list[_Task], solver: list[str] | None, jobs: int, timeout: float) -> Iterator[_Batch]:
+    """Solve `tasks` in up to `jobs` forked worker processes; yields each
+    chunk's results as they arrive.
 
-    A worker takes ceil(tasks / (8 * jobs)) consecutive tasks at a time:
-    one message per task costs more than a small task, and eight chunks per
-    worker still balance uneven ones.  Every worker has ended when the
-    generator returns or is closed: a worker with no chunk left exits on
-    None; on an error or a stop, the workers still running are killed,
-    and the results they had not reported are lost.
+    With an external solver a worker takes one task at a time, so each row
+    is written when its solver ends.  With the oracle it takes
+    ceil(tasks / (8 * jobs)) consecutive tasks: one message per task costs
+    more than a small task, and eight chunks per worker balance uneven ones.
+    Every worker has ended when the generator returns or is closed: a worker
+    with no chunk left exits on None; on an error or a stop, the workers
+    still running are terminated with their solvers, and the results they
+    had not reported are lost.
     """
-    size = -(-len(tasks) // (8 * jobs)) or 1
+    size = 1 if solver else -(-len(tasks) // (8 * jobs)) or 1
     chunks = iter([tasks[at : at + size] for at in range(0, len(tasks), size)])
     context = multiprocessing.get_context("fork")
     workers: dict[Connection, multiprocessing.process.BaseProcess] = {}
@@ -245,10 +255,11 @@ def _oracle_results(tasks: list[_Task], jobs: int, timeout: float) -> Iterator[_
         for chunk in islice(chunks, jobs):
             ours, theirs = context.Pipe()
             worker = context.Process(
-                target=_oracle_worker, args=(theirs, [ours, *workers], os.getpid(), timeout)
+                target=_worker, args=(theirs, [ours, *workers], os.getpid(), solver, timeout)
             )
-            worker.start()
-            workers[ours] = worker
+            with _stop_signals_held():  # until the worker has set its own handlers
+                worker.start()
+                workers[ours] = worker  # a stop held until here ends it too
             theirs.close()
             ours.send(chunk)
         while workers:
@@ -259,7 +270,7 @@ def _oracle_results(tasks: list[_Task], jobs: int, timeout: float) -> Iterator[_
                     worker = workers[connection]
                     worker.join()
                     raise IntsplitsError(
-                        f"oracle worker {worker.pid} ended with exit code "
+                        f"worker {worker.pid} ended with exit code "
                         f"{worker.exitcode} before it reported its tasks"
                     ) from None
                 chunk = next(chunks, None)
@@ -270,29 +281,10 @@ def _oracle_results(tasks: list[_Task], jobs: int, timeout: float) -> Iterator[_
                 yield results
     finally:
         for connection, worker in workers.items():
-            worker.kill()
+            worker.terminate()
             connection.close()
         for worker in workers.values():
             worker.join()
-
-
-def _solver_results(
-    tasks: list[_Task], solver: _ExternalSolver, jobs: int, timeout: float
-) -> Iterator[_Batch]:
-    """Solve `tasks` with an external solver, one task at a time on each of
-    `jobs` threads; yields each result as it arrives.  When the generator
-    returns or is closed, the solvers still running are killed and no
-    queued task starts."""
-    pool = ThreadPoolExecutor(max_workers=jobs)
-    try:
-        futures = {
-            pool.submit(_solve, path, solver, timeout): index for index, path in tasks
-        }
-        for future in as_completed(futures):
-            yield [(futures[future], future.result())]
-    finally:
-        solver.stop()
-        pool.shutdown(cancel_futures=True)
 
 
 class _Stopped(KeyboardInterrupt):
@@ -385,11 +377,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             writer.writerows(result_row(index, result) for index, result in done.items())
         os.replace(scratch, results_path)
     tasks = [(index, files[index]) for index in pending]
-    if args.solver:
-        solver = _ExternalSolver(args.solver)
-        batches = _solver_results(tasks, solver, args.jobs, args.timeout)
-    else:
-        batches = _oracle_results(tasks, args.jobs, args.timeout)
+    batches = _results(tasks, args.solver, args.jobs, args.timeout)
     unknown = 0
     with _stop_signals(), results_path.open("a", newline="") as handle, closing(batches):
         writer = csv.writer(handle)
@@ -496,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     split.add_argument("--no-intsplits", action="store_true", help="plain variable-by-variable split")
     split.add_argument("--out", default=".", help="output directory (default: current)")
-    split.add_argument("--force", action="store_true", help="overwrite existing sub-problem files")
+    split.add_argument("--force", action="store_true", help="overwrite sub-problem files and delete results.csv")
     common(split)
     split.set_defaults(func=cmd_split)
 

@@ -8,7 +8,10 @@ as oracles.
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import random
+
+import pytest
 
 from intsplits import (
     AnnotatedQuantifier,
@@ -22,6 +25,14 @@ from intsplits import (
     QuantifierKind,
     check_correctness,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_a_test():
+    """`run` ends every worker it starts before it returns."""
+    yield
+    assert multiprocessing.active_children() == []
+
 
 E = QuantifierKind.EXISTS
 A = QuantifierKind.FORALL

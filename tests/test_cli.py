@@ -10,14 +10,13 @@ import signal
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import intsplits
 from intsplits import cli
-from intsplits.cli import _ExternalSolver, main
+from intsplits.cli import main
 
 FIG1_TEXT = (
     "cs int [1 2] <3\ncs int [3 4] <3\n"
@@ -78,6 +77,27 @@ def test_split_refuses_overwrite_without_force(fig1, tmp_path):
     assert run_cli("split", fig1, "--depth", 4, "--out", out) == 0
     assert run_cli("split", fig1, "--depth", 4, "--out", out) == 1
     assert run_cli("split", fig1, "--depth", 4, "--out", out, "--force") == 0
+
+
+def test_split_refuses_the_results_of_an_earlier_split(tmp_path, capsys):
+    formula = tmp_path / "f.qdimacs"
+    formula.write_text(FIG1_TEXT)
+    out = tmp_path / "out"
+    assert run_cli("split", formula, "--depth", 4, "--out", out) == 0
+    assert run_cli("run", out) == 0
+    # FIG1's prefix and annotations with a false matrix
+    formula.write_text(FIG1_TEXT.replace("-1 3 0\n1 -3 0\n", "3 0\n-3 0\n"))
+    capsys.readouterr()
+    assert run_cli("split", formula, "--depth", 4, "--out", out) == 1
+    assert f"{out / 'results.csv'} holds the results of an earlier split" in capsys.readouterr().err
+    assert run_cli("split", formula, "--depth", 4, "--out", out, "--force") == 0
+    assert not (out / "results.csv").exists()
+    assert run_cli("run", out) == 0
+    capsys.readouterr()
+    assert run_cli("merge", formula, out) == 0
+    assert "final_result=FALSE" in capsys.readouterr().out
+    assert run_cli("eval", formula) == 0
+    assert capsys.readouterr().out == "FALSE\n"
 
 
 def test_merge_reports_missing_indices(fig1, tmp_path, capsys):
@@ -434,8 +454,8 @@ def test_rows_finished_before_a_kill_survive_it(tmp_path):
     formula.write_text("cs int [1 2] <3\np cnf 2 1\ne 1 2 0\n1 2 0\n")
     out = tmp_path / "out"
     assert run_cli("split", formula, "--depth", 2, "--out", out) == 0
-    # The solver kills the runner on task 2; tasks 0 and 1 end false.
-    solver = 'sh -c "case {file} in *0002-*) sleep 1; kill -9 $PPID;; esac; exit 20"'
+    # The solver kills the runner, its worker's parent, on task 2; tasks 0 and 1 end false.
+    solver = 'sh -c "case {file} in *0002-*) sleep 1; kill -9 $(ps -o ppid= -p $PPID);; esac; exit 20"'
     env = {**os.environ, "PYTHONPATH": str(Path(intsplits.__file__).parents[1])}
     killed = subprocess.run(
         [sys.executable, "-m", "intsplits.cli", "run", str(out), "--jobs", "1", "--solver", solver],
@@ -612,22 +632,6 @@ def test_run_refuses_result_rows_outside_the_plan(rows, index, fig1, tmp_path, c
     assert results.read_bytes() == before
 
 
-def test_external_solver_tracks_concurrent_tasks(tmp_path):
-    solver = _ExternalSolver(["sh", "-c", "exit 20", "{file}"])
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            codes = list(pool.map(lambda _: solver.exit_code(tmp_path, 10), range(40)))
-    finally:
-        sys.setswitchinterval(interval)
-    assert codes == [20] * 40
-    assert not solver._running
-    solver.stop()
-    with pytest.raises(OSError):
-        solver.exit_code(tmp_path, 10)
-
-
 def _rows(out: Path) -> dict[int, str]:
     """results.csv rows by index; fails on a duplicate index."""
     rows: dict[int, str] = {}
@@ -794,3 +798,36 @@ def test_solver_side_files_do_not_break_resume(fig1, tmp_path, capsys):
     (out / "0001-other.qdimacs").write_text(FIG1_TEXT)
     assert run_cli("run", out) == 1
     assert "keep one split per directory" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="a worker learns of its parent's death on Linux only")
+def test_solvers_end_after_run_is_killed(fig1, tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("split", fig1, "--depth", 4, "--out", out) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(intsplits.__file__).parents[1])}
+    solver = "sh -c 'echo $$ > {file}.pid; exec sleep 30' {file}"
+    argv = [sys.executable, "-m", "intsplits.cli", "run", str(out), "--jobs", "2", "--solver", solver]
+    child = subprocess.Popen(argv, env=env, stderr=subprocess.DEVNULL)
+    pids = []
+    try:
+        for index in (0, 1):
+            pids.append(_solver_pid(out / f"000{index}-fig1.qdimacs.pid"))
+        child.kill()
+        child.wait(timeout=30)
+        for pid in pids:
+            assert _ended(pid), f"solver {pid} outlived the killed run"
+    finally:
+        child.kill()
+        child.wait()
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(pid, signal.SIGKILL)
+
+
+@pytest.mark.parametrize("signame", ["INT", "TERM", "HUP"])
+def test_solvers_start_with_default_signal_handling(signame, fig1, tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("split", fig1, "--depth", 2, "--out", out) == 0
+    solver = f"sh -c 'kill -{signame} $$; exit 20' {{file}}"
+    assert run_cli("run", out, "--jobs", 2, "--solver", solver) == 0
+    assert [row.split(",")[1] for row in _rows(out).values()] == ["UNKNOWN"] * 3
