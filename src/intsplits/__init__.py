@@ -33,9 +33,7 @@ from .formula import (
     QuantifierKind,
     Top,
     accounted_values,
-    apply_assignment,
     bits_of,
-    constraint_satisfied,
     integer_value,
     literals_of,
 )

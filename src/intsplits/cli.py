@@ -181,15 +181,16 @@ def _exit_code(template: list[str], path: Path, timeout: float) -> int:
 
 
 def _solve(path: Path, solver: list[str] | None, timeout: float) -> ResultTuple:
-    """Solve one sub-problem with the built-in oracle (`solver` None) or an
-    external solver command that exits 10 for true and 20 for false.
-    Anything else is UNKNOWN, timed min(elapsed, timeout)."""
+    """Solve one sub-problem with the built-in oracle (`solver` None), whose
+    only limit is `timeout`, or an external solver command that exits 10 for
+    true and 20 for false.  Anything else is UNKNOWN, timed
+    min(elapsed, timeout)."""
     started = time.monotonic()
     code = ResultCode.UNKNOWN
     try:
         if solver is None:
             formula = qdimacs.parse_file(path)
-            value = evaluate(formula, EvalBudget(deadline=started + timeout))
+            value = evaluate(formula, EvalBudget(max_variables=None, deadline=started + timeout))
             code = ResultCode.TRUE if value else ResultCode.FALSE
         else:
             code = _EXIT_CODES.get(_exit_code(solver, path, timeout), ResultCode.UNKNOWN)
@@ -306,7 +307,7 @@ def _stop_signals() -> Iterator[None]:
 
     replaced = {
         signum: signal.signal(signum, stop)
-        for signum in (signal.SIGTERM, signal.SIGHUP)
+        for signum in _STOP_SIGNALS
         if signal.getsignal(signum) is signal.SIG_DFL
     }
     try:

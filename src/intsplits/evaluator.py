@@ -37,11 +37,12 @@ _DEADLINE_CHECK_INTERVAL = 256
 class EvalBudget:
     """Limits for the exponential recursion.
 
-    deadline is an absolute time.monotonic() timestamp; it is polled at the
-    first recursion step and at every 256th after it.
+    max_variables caps the quantified variables of a formula; None lifts
+    the cap.  deadline is an absolute time.monotonic() timestamp; it is
+    polled at the first recursion step and at every 256th after it.
     """
 
-    max_variables: int = 25
+    max_variables: int | None = 25
     deadline: float | None = None
 
 
@@ -102,7 +103,7 @@ def _steps(formula: Formula, use_intsplits: bool) -> list[_Step]:
 
 def _search(formula: Formula, budget: EvalBudget, use_intsplits: bool) -> bool:
     count = len(formula.prefix_variables())
-    if count > budget.max_variables:
+    if budget.max_variables is not None and count > budget.max_variables:
         raise BudgetExceededError(
             f"{count} quantified variables exceed the budget of {budget.max_variables}"
         )
@@ -135,7 +136,12 @@ def _search(formula: Formula, budget: EvalBudget, use_intsplits: bool) -> bool:
                 return exists
         return not exists
 
-    return descend(formula.matrix.clauses, 0)
+    try:
+        return descend(formula.matrix.clauses, 0)
+    except RecursionError:
+        raise BudgetExceededError(
+            f"{len(steps)} quantification steps exceed the recursion limit"
+        ) from None
 
 
 def evaluate(formula: Formula, budget: EvalBudget | None = None) -> bool:

@@ -41,10 +41,8 @@ __all__ = [
     "integer_value",
     "bits_of",
     "literals_of",
-    "constraint_satisfied",
     "accounted_values",
     "simplify",
-    "apply_assignment",
 ]
 
 
@@ -74,10 +72,6 @@ class Matrix:
                         f"clause literal {lit} names no variable in "
                         f"1..{self.variable_count}"
                     )
-
-    @classmethod
-    def from_ints(cls, clauses: Iterable[Iterable[int]], variable_count: int) -> "Matrix":
-        return cls(tuple(tuple(c) for c in clauses), variable_count)
 
 
 @dataclass(frozen=True)
@@ -226,7 +220,7 @@ class AnnotatedQuantifier:
     An expansion is accounted as soon as at least one constraint in the list
     is satisfied.  Construction fails if no expansion is accounted.
     `intervals` holds the accounted values as sorted, disjoint half-open
-    intervals; s, u, constraint_satisfied and accounted_values derive from it.
+    intervals; s, u and accounted_values derive from it.
     """
 
     kind: QuantifierKind
@@ -265,13 +259,6 @@ class AnnotatedQuantifier:
     def eta(self) -> Fraction:
         """Pruning efficiency u/s as an exact rational."""
         return Fraction(self.u, self.s)
-
-
-def constraint_satisfied(aq: AnnotatedQuantifier, bits: Sequence[int]) -> bool:
-    """True iff at least one constraint of aq accepts the bit-vector."""
-    if len(bits) != aq.width:
-        raise ValueError(f"expected {aq.width} bits, got {len(bits)}")
-    return integer_value(bits) in accounted_values(aq)
 
 
 @dataclass(frozen=True)
@@ -318,18 +305,6 @@ def simplify(
             clause = tuple([lit for lit in clause if lit not in false])
         kept.append(clause)
     return tuple(kept)
-
-
-def apply_assignment(matrix: Matrix, literals: Iterable[int]) -> Matrix:
-    """The matrix simplified under DIMACS `literals`, which must name its
-    variables and set none both true and false."""
-    literals = frozenset(literals)
-    for lit in literals:
-        if not 0 < abs(lit) <= matrix.variable_count:
-            raise FormulaError(f"assignment literal {lit} names no variable of the matrix")
-        if -lit in literals:
-            raise FormulaError(f"assignment sets variable {abs(lit)} both true and false")
-    return Matrix(simplify(matrix.clauses, literals), matrix.variable_count)
 
 
 class AnnotationCursor:

@@ -66,20 +66,20 @@ class RawSplit:
 
 @dataclass(frozen=True)
 class SourceDocument:
-    """Syntactic skeleton of one (Q)DIMACS file.
+    """What `scan` reads from one (Q)DIMACS file: the header's variable
+    count, the ``cs`` lines before prefix resolution, the prefix with
+    consecutive lines of one kind merged into a block, and the clauses
+    with duplicate literals dropped.
 
-    Splits appear only in the preamble, the clause count always matches
-    the header, and every clause literal and prefix variable names a
-    declared variable, quantified at most once; all are enforced while
-    scanning.
+    Splits appear only in the preamble, the clause count matches the
+    header, and every clause literal and prefix variable names a declared
+    variable, quantified at most once; all are enforced while scanning.
     """
 
     variable_count: int
-    clause_count: int
-    comments: tuple[str, ...]
     splits: tuple[RawSplit, ...]
-    prefix_rows: tuple[tuple[int, QuantifierKind, tuple[int, ...]], ...]
-    clause_rows: tuple[tuple[int, tuple[int, ...]], ...]
+    prefix: tuple[QuantifierBlock, ...]
+    clauses: tuple[tuple[int, ...], ...]
 
 
 def _pnum(token: str, line_no: int, what: str = "variable", limit: int = _INT32_MAX) -> int:
@@ -196,25 +196,25 @@ def _parse_clause(line: str, line_no: int, variable_count: int) -> tuple[int, ..
                 f"declared count {variable_count}"
             )
         values.append(value)
-    if not values or values[-1] != 0:
+    if not values or values.pop() != 0:
         raise ParseError(f"line {line_no}: clause lines must end with 0")
-    body = values[:-1]
-    if 0 in body:
+    if 0 in values:
         raise ParseError(f"line {line_no}: embedded 0; one clause per line")
-    return tuple(body)
+    # Duplicate literals are dropped (first occurrence wins); tautologies
+    # such as (x or not x) are kept verbatim for round-trip fidelity.
+    return tuple(dict.fromkeys(values))
 
 
 def scan(text: str, strict: bool = False) -> SourceDocument:
-    """First pass: split the file into header, comments, annotations,
-    prefix rows and clause rows.  Besides the syntax it checks every clause
-    literal and prefix variable against the header's variable count, which
-    precedes them, and that no variable is quantified twice."""
-    comments: list[str] = []
+    """First pass: read the header, annotations, prefix and clauses, and
+    skip comments.  Besides the syntax it checks every clause literal and
+    prefix variable against the header's variable count, which precedes
+    them, and that no variable is quantified twice."""
     splits: list[RawSplit] = []
     header: tuple[int, int] | None = None
     quantified: set[int] = set()
-    prefix_rows: list[tuple[int, QuantifierKind, tuple[int, ...]]] = []
-    clause_rows: list[tuple[int, tuple[int, ...]]] = []
+    prefix: list[tuple[QuantifierKind, list[int]]] = []
+    clauses: list[tuple[int, ...]] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -226,11 +226,9 @@ def scan(text: str, strict: bool = False) -> SourceDocument:
         if header is None:
             if token == "cs":
                 splits.append(_parse_split(line, line_no))
-            elif line.startswith("c"):
-                comments.append(line[1:].strip())
             elif token == "p":
                 header = _parse_header(line, line_no)
-            else:
+            elif not line.startswith("c"):
                 raise MalformedHeaderError(
                     f"line {line_no}: expected comments, annotations or the problem "
                     f"line, got {line!r}"
@@ -247,7 +245,7 @@ def scan(text: str, strict: bool = False) -> SourceDocument:
                     )
                 continue
             if token in ("e", "a"):
-                if clause_rows:
+                if clauses:
                     raise ParseError(
                         f"line {line_no}: quantifier line after the first clause; "
                         f"the prefix must precede the matrix"
@@ -257,7 +255,7 @@ def scan(text: str, strict: bool = False) -> SourceDocument:
                     raise ParseError(
                         f"line {line_no}: quantifier lines are '<e|a> <var>+ 0'"
                     )
-                variables = tuple(_pnum(t, line_no) for t in tokens[1:-1])
+                variables = [_pnum(t, line_no) for t in tokens[1:-1]]
                 for v in variables:
                     if v > header[0]:
                         raise UnknownVariableError(
@@ -268,25 +266,22 @@ def scan(text: str, strict: bool = False) -> SourceDocument:
                         raise ParseError(f"line {line_no}: variable {v} quantified twice")
                     quantified.add(v)
                 kind = QuantifierKind.EXISTS if token == "e" else QuantifierKind.FORALL
-                prefix_rows.append((line_no, kind, variables))
+                if prefix and prefix[-1][0] is kind:
+                    prefix[-1][1].extend(variables)
+                else:
+                    prefix.append((kind, variables))
             else:
-                clause_rows.append((line_no, _parse_clause(line, line_no, header[0])))
+                clauses.append(_parse_clause(line, line_no, header[0]))
 
     if header is None:
         raise MalformedHeaderError("problem line 'p cnf <vars> <clauses>' not found")
     variable_count, clause_count = header
-    if len(clause_rows) != clause_count:
+    if len(clauses) != clause_count:
         raise MalformedHeaderError(
-            f"header declares {clause_count} clauses, file contains {len(clause_rows)}"
+            f"header declares {clause_count} clauses, file contains {len(clauses)}"
         )
-    return SourceDocument(
-        variable_count,
-        clause_count,
-        tuple(comments),
-        tuple(splits),
-        tuple(prefix_rows),
-        tuple(clause_rows),
-    )
+    blocks = tuple(QuantifierBlock(kind, tuple(variables)) for kind, variables in prefix)
+    return SourceDocument(variable_count, tuple(splits), blocks, tuple(clauses))
 
 
 def _implicit_width(constraints: tuple[Constraint, ...]) -> int:
@@ -312,28 +307,9 @@ def _implicit_width(constraints: tuple[Constraint, ...]) -> int:
     return (s - 1).bit_length()
 
 
-def _normalize_clause(body: tuple[int, ...]) -> tuple[int, ...]:
-    # Duplicate literals are dropped (first occurrence wins); tautologies
-    # such as (x or not x) are kept verbatim for round-trip fidelity.
-    return tuple(dict.fromkeys(body))
-
-
 def _build(doc: SourceDocument) -> Formula:
-    matrix = Matrix(
-        tuple(_normalize_clause(body) for _, body in doc.clause_rows),
-        doc.variable_count,
-    )
-
-    # Merge consecutive rows of the same kind into one block.
-    blocks: list[QuantifierBlock] = []
-    for _, kind, variables in doc.prefix_rows:
-        if blocks and blocks[-1].kind is kind:
-            blocks[-1] = QuantifierBlock(kind, blocks[-1].variables + variables)
-        else:
-            blocks.append(QuantifierBlock(kind, variables))
-
     annotations: list[AnnotatedQuantifier] = []
-    cursor = AnnotationCursor(blocks)
+    cursor = AnnotationCursor(doc.prefix)
     for split in doc.splits:
         try:
             for v in split.variables or ():
@@ -343,8 +319,8 @@ def _build(doc: SourceDocument) -> Formula:
                     )
             if split.variables is not None:
                 bitvector = BitVectorVar(split.variables)
-                kind = cursor.place(bitvector.variables) if blocks else QuantifierKind.EXISTS
-            elif blocks:
+                kind = cursor.place(bitvector.variables) if doc.prefix else QuantifierKind.EXISTS
+            elif doc.prefix:
                 variables, kind = cursor.take(_implicit_width(split.constraints))
                 bitvector = BitVectorVar(variables)
             else:
@@ -356,7 +332,7 @@ def _build(doc: SourceDocument) -> Formula:
         except IntsplitsError as exc:
             raise type(exc)(f"line {split.line_no}: {exc}") from None
 
-    return Formula(matrix, tuple(blocks), tuple(annotations))
+    return Formula(Matrix(doc.clauses, doc.variable_count), doc.prefix, tuple(annotations))
 
 
 def parse(text: str | bytes, strict: bool = False) -> Formula:

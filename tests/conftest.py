@@ -38,6 +38,11 @@ E = QuantifierKind.EXISTS
 A = QuantifierKind.FORALL
 
 
+def matrix_of(clauses, variable_count: int) -> Matrix:
+    """A matrix from any iterable of integer-literal clauses."""
+    return Matrix(tuple(tuple(c) for c in clauses), variable_count)
+
+
 def clause_satisfied(clause_ints: tuple[int, ...], assignment: dict[int, int]) -> bool:
     return any(
         (assignment[abs(lit)] == 1) == (lit > 0) for lit in clause_ints
@@ -218,7 +223,7 @@ def random_annotated_formula(
             break
     total = var - 1
     variables = list(range(1, total + 1))
-    matrix = Matrix.from_ints(
+    matrix = matrix_of(
         random_clauses(rng, variables, rng.randint(2, max(3, total))), total
     )
 

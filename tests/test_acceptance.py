@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import A, E, correct_pipeline_case, legacy_parse
+from conftest import A, E, correct_pipeline_case, legacy_parse, matrix_of
 from intsplits import (
     AnnotatedQuantifier,
     BitVectorVar,
@@ -151,7 +151,7 @@ def _forced_value_formula(width: int, target: int, kind) -> Matrix:
         ((v,) if bit else (-v,))
         for v, bit in zip(range(1, width + 1), bits_of(target, width))
     ]
-    return Matrix.from_ints(clauses, width)
+    return matrix_of(clauses, width)
 
 
 def test_criterion_5_checker_finds_crafted_mistakes():

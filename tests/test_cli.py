@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import intsplits
+from conftest import correct_pipeline_case, reference_value_of_formula
 from intsplits import cli
 from intsplits.cli import main
 
@@ -63,6 +64,23 @@ def test_split_run_merge_pipeline(fig1, tmp_path, capsys):
     assert "subproblems_without=16" in stdout
     assert (out / "certificate.txt").exists()
     assert (out / "merge_report.txt").exists()
+
+
+@pytest.mark.parametrize("mode", [(), ("--no-intsplits",)], ids=["intsplit", "plain"])
+def test_pipeline_verdict_equals_the_reference_semantics(mode, tmp_path, capsys):
+    # The reference in conftest shares no code with the oracle that `run` uses.
+    rng = random.Random(20261019)
+    for case in range(12):
+        formula, chosen = correct_pipeline_case(rng, max_vars=10)
+        path = tmp_path / f"case{case}.qdimacs"
+        path.write_text(intsplits.write(formula))
+        out = tmp_path / f"out{case}"
+        assert run_cli("split", path, "--depth", chosen.requested_depth, "--out", out, *mode) == 0
+        assert run_cli("run", out, "--jobs", 2) == 0
+        capsys.readouterr()
+        assert run_cli("merge", path, out) == 0
+        expected = "TRUE" if reference_value_of_formula(formula) else "FALSE"
+        assert f"final_result={expected}\n" in capsys.readouterr().out
 
 
 def test_split_plain_mode(fig1, tmp_path):
@@ -225,7 +243,7 @@ def _quantified_chain(path: Path, universals: int) -> Path:
     [
         (22, "{missing} {{file}}", 30.0, False),  # solver binary not found
         (22, "{python} -c 'import sys; sys.exit(3)' {{file}}", 30.0, False),  # exit code 3
-        (29, None, 30.0, False),  # 30 variables, over the oracle's budget of 25
+        (1999, None, 30.0, False),  # 2000 steps, deeper than the oracle's recursion limit
         (22, None, 0.2, True),  # 2^22 branches, past the oracle's deadline
     ],
     ids=["missing-solver", "exit-code-3", "oracle-budget", "oracle-deadline"],
@@ -245,6 +263,40 @@ def test_run_outcomes_recorded_as_unknown(universals, solver, timeout, timed_out
         assert {seconds for _, _, seconds in rows} == {f"{timeout:.6f}"}
     else:
         assert all(float(seconds) < timeout for _, _, seconds in rows)
+
+
+def _wide_formula(path: Path, quantified: bool) -> Path:
+    """A 30-variable formula, over the 25 variables `eval` accepts, whose
+    sub-problems the oracle settles in a few dozen nodes.  Quantified, it is
+    forall x1 x2 exists x3..x30 with every clause true once x3..x30 are
+    false, so it is true.  Prefix-free, (x1 | x2)(x1 | -x2)(-x1 | x3)
+    (-x1 | -x3) makes it false, and every sub-problem meets its conflict
+    within x1..x3."""
+    if quantified:
+        prefix = ["a 1 2 0", "e " + " ".join(str(v) for v in range(3, 31)) + " 0"]
+        clauses = [f"{1 if v % 2 else -2} -{v} 0" for v in range(3, 31)]
+    else:
+        prefix = []
+        clauses = ["1 2 0", "1 -2 0", "-1 3 0", "-1 -3 0"]
+        clauses += [f"-{v} -{v + 1} 0" for v in range(4, 30)]
+    lines = ["cs int [1 2] <3", f"p cnf 30 {len(clauses)}", *prefix, *clauses]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("quantified, code", [(True, "TRUE"), (False, "FALSE")], ids=["qbf", "dimacs"])
+def test_run_solves_sub_problems_over_the_eval_limit(quantified, code, tmp_path, capsys):
+    formula = _wide_formula(tmp_path / "wide.qdimacs", quantified)
+    assert run_cli("eval", formula) == 2
+    assert "30 quantified variables exceed the budget of 25" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert run_cli("split", formula, "--depth", 2, "--out", out) == 0
+    assert run_cli("run", out, "--jobs", 2) == 0
+    codes = {index: row.split(",")[1] for index, row in _rows(out).items()}
+    assert codes == {0: code, 1: code, 2: code}
+    capsys.readouterr()
+    assert run_cli("merge", formula, out) == 0
+    assert f"final_result={code}\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     A,
     E,
+    matrix_of,
     random_annotated_formula,
     random_constraint,
     reference_bounded_value,
@@ -32,7 +33,7 @@ from intsplits import (
     parse,
 )
 
-XOR_MATRIX = Matrix.from_ints([(1, 2), (-1, -2)], 2)
+XOR_MATRIX = matrix_of([(1, 2), (-1, -2)], 2)
 
 
 def test_quantifier_order_matters():
@@ -63,7 +64,7 @@ def test_top_only_annotations_match_plain_semantics():
 
 def test_bounds_can_change_the_verdict():
     # restricting (x1,x2) to values below 2 forces x1 = 0
-    matrix = Matrix.from_ints([(1,)], 2)
+    matrix = matrix_of([(1,)], 2)
     blocks = (QuantifierBlock(E, (1, 2)),)
     restricted = Formula(
         matrix, blocks, (AnnotatedQuantifier(E, BitVectorVar((1, 2)), (Less(2),)),)
@@ -73,7 +74,7 @@ def test_bounds_can_change_the_verdict():
 
 
 def test_check_correctness_reports_witness():
-    matrix = Matrix.from_ints([(1,)], 2)
+    matrix = matrix_of([(1,)], 2)
     blocks = (QuantifierBlock(E, (1, 2)),)
     bad = Formula(matrix, blocks, (AnnotatedQuantifier(E, BitVectorVar((1, 2)), (Less(2),)),))
     verdict = check_correctness(bad)
@@ -150,7 +151,7 @@ def test_bitwise_and_vectorwise_evaluation_agree():
 
 def test_budget_limits():
     wide = Formula(
-        Matrix.from_ints([(1,)], 26),
+        matrix_of([(1,)], 26),
         (QuantifierBlock(E, tuple(range(1, 27))),),
     )
     with pytest.raises(BudgetExceededError):
@@ -158,3 +159,8 @@ def test_budget_limits():
     assert evaluate(wide, EvalBudget(max_variables=26)) is True
     with pytest.raises(BudgetExceededError):
         evaluate(wide, EvalBudget(max_variables=30, deadline=0.0))
+    assert evaluate(wide, EvalBudget(max_variables=None)) is True
+    # 2000 steps that leave the matrix undecided recurse past Python's limit.
+    long = Formula(matrix_of([(2000,)], 2000), (QuantifierBlock(E, tuple(range(1, 2001))),))
+    with pytest.raises(BudgetExceededError, match="2000 quantification steps exceed the recursion limit"):
+        evaluate(long, EvalBudget(max_variables=None))

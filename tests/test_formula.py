@@ -1,5 +1,5 @@
-"""Model-level checks: integer encoding, expansion counting, assignment
-application and structural invariants."""
+"""Model-level checks: integer encoding, expansion counting, clause
+simplification and structural invariants."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import A, E, all_bitvectors, clause_satisfied, reference_accounted
+from conftest import A, E, all_bitvectors, clause_satisfied, matrix_of, reference_accounted
 from intsplits import (
     AnnotatedQuantifier,
     BitVectorVar,
@@ -19,23 +19,26 @@ from intsplits import (
     InSet,
     InvalidAnnotationError,
     Less,
-    Matrix,
     PatternWidthMismatchError,
     QuantifierBlock,
     Top,
     accounted_values,
-    apply_assignment,
     literals_of,
     bits_of,
-    constraint_satisfied,
     integer_value,
 )
+from intsplits.formula import simplify
 
 
 def aq(width, *constraints, kind=E, start=1):
     return AnnotatedQuantifier(
         kind, BitVectorVar(tuple(range(start, start + width))), tuple(constraints)
     )
+
+
+def accepts(quantifier, bits):
+    """Whether some constraint of the quantifier accepts the bit-vector."""
+    return integer_value(bits) in accounted_values(quantifier)
 
 
 # integer encoding -----------------------------------------------------------
@@ -69,24 +72,19 @@ def test_integer_value_rejects_empty_and_junk():
 
 def test_constraint_satisfied_examples():
     below_three = aq(2, Less(3))
-    assert constraint_satisfied(below_three, (1, 0))
-    assert not constraint_satisfied(below_three, (1, 1))
+    assert accepts(below_three, (1, 0))
+    assert not accepts(below_three, (1, 1))
     member = aq(3, InSet.of((1, 0, 1), (1, 1, 1)))
-    assert constraint_satisfied(member, (1, 0, 1))
-    assert not constraint_satisfied(member, (1, 1, 0))
-
-
-def test_constraint_satisfied_rejects_width_mismatch():
-    with pytest.raises(ValueError):
-        constraint_satisfied(aq(2, Less(3)), (1, 0, 1))
+    assert accepts(member, (1, 0, 1))
+    assert not accepts(member, (1, 1, 0))
 
 
 def test_union_semantics_over_constraint_list():
     # satisfying any single constraint of the list is enough
     either = aq(3, Less(2), Greater(5))
-    assert constraint_satisfied(either, (0, 0, 1))  # value 1 < 2
-    assert constraint_satisfied(either, (1, 1, 0))  # value 6 > 5
-    assert not constraint_satisfied(either, (0, 1, 1))  # value 3 matches neither
+    assert accepts(either, (0, 0, 1))  # value 1 < 2
+    assert accepts(either, (1, 1, 0))  # value 6 > 5
+    assert not accepts(either, (0, 1, 1))  # value 3 matches neither
 
 
 # expansion counting ---------------------------------------------------------
@@ -134,7 +132,7 @@ def test_ae_count_matches_reference_enumeration():
         assert s == sum(
             1
             for bits in all_bitvectors(width)
-            if constraint_satisfied(quantifier, bits)
+            if accepts(quantifier, bits)
         )
 
 
@@ -200,7 +198,7 @@ def test_accounted_values_agree_with_counts():
             assert [
                 integer_value(bits)
                 for bits in all_bitvectors(width)
-                if constraint_satisfied(quantifier, bits)
+                if accepts(quantifier, bits)
             ] == expected
         else:
             # wide: compare both ends without materialising the values; every
@@ -209,7 +207,7 @@ def test_accounted_values_agree_with_counts():
             tail = list(itertools.islice(values, quantifier.s - 4, None))
             assert tail == reference(reversed(range(1 << width)), 4)[::-1]
             for value in tail:
-                assert constraint_satisfied(quantifier, bits_of(value, width))
+                assert accepts(quantifier, bits_of(value, width))
 
 
 # efficiency -----------------------------------------------------------------
@@ -223,28 +221,26 @@ def test_efficiency_examples_exact():
     assert isinstance(aq(5, Less(19)).eta, Fraction)
 
 
-# assignment application -----------------------------------------------------
+# clause simplification ------------------------------------------------------
 
 
-def test_apply_assignment_examples():
-    matrix = Matrix.from_ints([(1, 2), (-1, -2)], 2)
-    simplified = apply_assignment(matrix, (1,))
-    assert simplified.clauses == ((-2,),)
-    falsified = apply_assignment(matrix, (1, 2))
-    assert () in falsified.clauses
-    assert apply_assignment(matrix, ()) == matrix
+def test_simplify_examples():
+    clauses = ((1, 2), (-1, -2))
+    assert simplify(clauses, (1,)) == ((-2,),)
+    assert () in simplify(clauses, (1, 2))
+    assert simplify(clauses, ()) == clauses
 
 
-def test_apply_assignment_idempotent():
-    matrix = Matrix.from_ints([(1, 2, 3), (-1, -2), (2, -3)], 3)
+def test_simplify_idempotent():
+    clauses = ((1, 2, 3), (-1, -2), (2, -3))
     literals = (-1, 3)
-    once = apply_assignment(matrix, literals)
-    assert apply_assignment(once, ()) == once
+    once = simplify(clauses, literals)
+    assert simplify(once, ()) == once
     # re-applying the remaining part of the assignment changes nothing
-    assert apply_assignment(once, literals) == once
+    assert simplify(once, literals) == once
 
 
-def test_apply_assignment_preserves_models():
+def test_simplify_preserves_models():
     rng = random.Random(20240818)
     for _ in range(30):
         count = rng.randint(2, 8)
@@ -253,29 +249,18 @@ def test_apply_assignment_preserves_models():
         for _ in range(rng.randint(1, 2 * count)):
             chosen = rng.sample(variables, rng.randint(1, min(3, count)))
             clauses.append(tuple(v if rng.random() < 0.5 else -v for v in chosen))
-        matrix = Matrix.from_ints(clauses, count)
         assigned = rng.sample(variables, rng.randint(0, count))
         sigma = {v: rng.randint(0, 1) for v in assigned}
-        simplified = apply_assignment(matrix, [v if bit else -v for v, bit in sigma.items()])
+        simplified = simplify(tuple(clauses), [v if bit else -v for v, bit in sigma.items()])
         free = [v for v in variables if v not in sigma]
         for bits in itertools.product((0, 1), repeat=len(free)):
             tau = {**sigma, **dict(zip(free, bits))}
             before = all(clause_satisfied(c, tau) for c in clauses)
             after = all(
                 clause_satisfied(c, tau) if c else False
-                for c in simplified.clauses
+                for c in simplified
             )
             assert before == after
-
-
-def test_apply_assignment_rejects_bad_input():
-    matrix = Matrix.from_ints([(1,)], 1)
-    with pytest.raises(FormulaError):
-        apply_assignment(matrix, (2,))
-    with pytest.raises(FormulaError):
-        apply_assignment(matrix, (1, -1))
-    with pytest.raises(FormulaError):
-        apply_assignment(matrix, (0,))
 
 
 def test_literals_of_follows_bits_of():
@@ -290,7 +275,7 @@ def test_literals_of_follows_bits_of():
 
 def test_basic_type_validation():
     with pytest.raises(FormulaError):
-        Matrix.from_ints([(0,)], 1)
+        matrix_of([(0,)], 1)
     with pytest.raises(FormulaError):
         Less(0)
     with pytest.raises(FormulaError):
@@ -304,9 +289,9 @@ def test_basic_type_validation():
     with pytest.raises(FormulaError):
         QuantifierBlock(E, ())
     with pytest.raises(FormulaError):
-        Matrix.from_ints([(3,)], 2)
+        matrix_of([(3,)], 2)
     with pytest.raises(FormulaError):
-        Matrix.from_ints([(-3,)], 2)
+        matrix_of([(-3,)], 2)
     with pytest.raises(InvalidAnnotationError):
         AnnotatedQuantifier(E, BitVectorVar((1, 2)), ())
 
@@ -319,7 +304,7 @@ def test_pattern_width_checked_against_bitvector():
 def _formula(prefix, annotations, clauses=((1,),), count=None):
     if count is None:
         count = max(v for block in prefix for v in block.variables)
-    return Formula(Matrix.from_ints(clauses, count), tuple(prefix), tuple(annotations))
+    return Formula(matrix_of(clauses, count), tuple(prefix), tuple(annotations))
 
 
 def test_formula_requires_closed_matrix():
@@ -368,7 +353,7 @@ def test_shared_variable_between_bitvectors_rejected():
 
 
 def test_prefix_free_formulas_allow_existential_annotations_only():
-    matrix = Matrix.from_ints([(1, -2)], 2)
+    matrix = matrix_of([(1, -2)], 2)
     Formula(matrix, (), (AnnotatedQuantifier(E, BitVectorVar((1, 2)), (Less(3),)),))
     with pytest.raises(FormulaError):
         Formula(matrix, (), (AnnotatedQuantifier(A, BitVectorVar((1, 2)), (Less(3),)),))

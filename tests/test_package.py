@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import intsplits
@@ -27,3 +28,22 @@ def test_exported_names_resolve_and_are_declared():
             if not alias.name.startswith("_") and alias.name not in module.__all__
         ]
         assert not undeclared, f"intsplits imports {undeclared} missing from {node.module}.__all__"
+
+
+def test_modules_import_only_the_standard_library_and_intsplits():
+    # ast.walk reaches imports inside functions too, such as the worker's ctypes.
+    package = Path(intsplits.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign = [
+                name
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names | {"intsplits"}
+            ]
+            assert not foreign, f"{path.name}:{node.lineno} imports {foreign}"

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from conftest import A, E, legacy_parse, random_annotated_formula
+from conftest import A, E, legacy_parse, matrix_of, random_annotated_formula
 from intsplits import (
     AmbiguousImplicitError,
     AnnotatedQuantifier,
@@ -21,7 +21,6 @@ from intsplits import (
     InSet,
     Less,
     MalformedHeaderError,
-    Matrix,
     ParseError,
     PatternWidthMismatchError,
     QuantifierBlock,
@@ -232,7 +231,7 @@ def _wide_formula(width: int, constraint) -> Formula:
     variables = tuple(range(1, width + 1))
     annotation = AnnotatedQuantifier(E, BitVectorVar(variables), (constraint,))
     return Formula(
-        Matrix.from_ints([(1,)], width), (QuantifierBlock(E, variables),), (annotation,)
+        matrix_of([(1,)], width), (QuantifierBlock(E, variables),), (annotation,)
     )
 
 
@@ -257,7 +256,7 @@ def test_wide_listed_annotations_round_trip(width, constraint, written_as):
 def test_bounds_past_the_parse_limit_are_written_as_two_to_the_width():
     variables = (1, 2, 3, 4, 5)
     annotation = AnnotatedQuantifier(E, BitVectorVar(variables), (Less(2**40), Greater(2**40)))
-    formula = Formula(Matrix.from_ints([(1,)], 5), (QuantifierBlock(E, variables),), (annotation,))
+    formula = Formula(matrix_of([(1,)], 5), (QuantifierBlock(E, variables),), (annotation,))
     text = write(formula)
     assert text.startswith("cs int [1 2 3 4 5] <32;>32\n")
     reparsed = parse(text)
@@ -339,7 +338,7 @@ def test_write_always_lists_variables_explicitly():
 def test_unrestricted_annotations_serialize_as_full_range():
     blocks = (QuantifierBlock(E, (1, 2)),)
     annotation = AnnotatedQuantifier(E, BitVectorVar((1, 2)), (Top(),))
-    formula = Formula(Matrix.from_ints([(1, -2)], 2), blocks, (annotation,))
+    formula = Formula(matrix_of([(1, -2)], 2), blocks, (annotation,))
     text = write(formula)
     assert "cs int [1 2] <4" in text
     reparsed = parse(text)
@@ -362,11 +361,11 @@ def test_roundtrip_fixpoint_samples():
 
 
 def test_scan_exposes_document_structure():
-    doc = scan("c note\ncs int [1] <2\np cnf 1 1\ne 1 0\n1 0\n")
-    assert doc.variable_count == 1 and doc.clause_count == 1
-    assert doc.comments == ("note",)
+    doc = scan("c note\ncs int [1] <2\np cnf 3 2\ne 1 0\ne 2 0\na 3 0\n1 1 -3 0\n2 3 0\n")
+    assert doc.variable_count == 3
     assert len(doc.splits) == 1 and doc.splits[0].variables == (1,)
-    assert doc.prefix_rows[0][1] is E
+    assert doc.prefix == (QuantifierBlock(E, (1, 2)), QuantifierBlock(A, (3,)))
+    assert doc.clauses == ((1, -3), (2, 3))
 
 
 def test_non_utf8_input_is_a_parse_error(tmp_path):

@@ -12,13 +12,13 @@ from conftest import (
     A,
     E,
     correct_pipeline_case,
+    matrix_of,
     random_annotated_formula,
     reference_accounted,
 )
 from intsplits import (
     EmptyPlanError,
     Formula,
-    Matrix,
     MergeError,
     QuantifierBlock,
     SplitMode,
@@ -85,7 +85,7 @@ def test_empty_plan_is_an_error_in_intsplit_mode():
     with pytest.raises(EmptyPlanError):
         plan(TRIPLE_19, 4)
     with pytest.raises(EmptyPlanError):
-        plan(Formula(Matrix.from_ints([(1,)], 1), (QuantifierBlock(E, (1,)),)), 1)
+        plan(Formula(matrix_of([(1,)], 1), (QuantifierBlock(E, (1,)),)), 1)
 
 
 def test_eta_sorting_within_same_kind_runs():
