@@ -1,16 +1,25 @@
-"""Brute-force reference semantics for QBFs, with and without
-integer-range bounds on the quantifiers.
+"""Reference semantics for QBFs, with and without integer-range bounds on
+the quantifiers.
 
 The recursion expands the prefix left to right, simplifying the matrix
-after every assignment, and explores up to 2^n branches; it is an oracle
-for desk-scale verification, not a solver.  A budget guards against
-accidentally exploding formulas.
+after every assignment.  Before it branches, each node applies three rules
+(DPLL-style QBF evaluation, after Cadoli, Giovanardi and Schaerf, AAAI
+1998): it propagates unit clauses on plain existential variables to a
+fixpoint; it is false at a unit clause on a plain universal variable or at
+two complementary unit clauses; and it passes over plain variables that no
+longer occur, in a loop rather than a recursive call.  Plain variables are
+those outside annotated steps: an annotated vector ranges over its
+accounted values only, where a unit clause need not decide anything (for
+all x in {1}, (x) is true), so it is always branched on.  The search still
+explores up to 2^n branches; it is an oracle for desk-scale verification,
+not a solver.  A budget guards against accidentally exploding formulas.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Collection
 
 from .errors import BudgetExceededError, FormulaError
@@ -87,7 +96,8 @@ class _Literals(dict):
 _Step = tuple[QuantifierKind, Collection[int], _Literals]
 
 
-def _steps(formula: Formula, use_intsplits: bool) -> list[_Step]:
+def _steps(formula: Formula, use_intsplits: bool) -> tuple[list[_Step], dict[int, bool]]:
+    """The quantification steps, and each plain variable's kind (True: exists)."""
     annotations = formula.annotations if use_intsplits else ()
     steps = [
         (aq.kind, accounted_values(aq), _Literals(aq.bitvector.variables)) for aq in annotations
@@ -95,10 +105,10 @@ def _steps(formula: Formula, use_intsplits: bool) -> list[_Step]:
     annotated = {v for aq in annotations for v in aq.bitvector.variables}
     # Annotations claim prefix variables from the front, so every leftover
     # variable commutes behind them (same block or later blocks).
-    for v in formula.prefix_variables():
-        if v not in annotated:
-            steps.append((formula.kind_of(v), range(2), _Literals((v,))))
-    return steps
+    variables = [v for v in formula.prefix_variables() if v not in annotated]
+    plain = {v: formula.kind_of(v) is QuantifierKind.EXISTS for v in variables}
+    steps += [(formula.kind_of(v), range(2), _Literals((v,))) for v in plain]
+    return steps, plain
 
 
 def _search(formula: Formula, budget: EvalBudget, use_intsplits: bool) -> bool:
@@ -107,7 +117,8 @@ def _search(formula: Formula, budget: EvalBudget, use_intsplits: bool) -> bool:
         raise BudgetExceededError(
             f"{count} quantified variables exceed the budget of {budget.max_variables}"
         )
-    steps = _steps(formula, use_intsplits)
+    steps, plain = _steps(formula, use_intsplits)
+    first_plain = len(steps) - len(plain)
     deadline = budget.deadline
     nodes = 0
 
@@ -121,18 +132,41 @@ def _search(formula: Formula, budget: EvalBudget, use_intsplits: bool) -> bool:
             and time.monotonic() > deadline
         ):
             raise BudgetExceededError("evaluation deadline exceeded")
-        if () in clauses:
-            return False
-        if not clauses:
-            return True
-        if depth == len(steps):
-            raise FormulaError("matrix undecided after the full prefix; formula is not closed")
-        kind, values, literals = steps[depth]
+        # A universal unit, whose other value empties its clause, or a
+        # complementary pair ends the node; existential ones propagate.
+        while True:
+            if () in clauses:
+                return False
+            if not clauses:
+                return True
+            units = {c[0] for c in clauses if len(c) == 1}
+            forced = []
+            for lit in units:
+                exists = plain.get(abs(lit))
+                if exists is False or -lit in units:
+                    return False
+                if exists:
+                    forced.append(lit)
+            if not forced:
+                break
+            clauses = simplify(clauses, forced)
+        while True:
+            if depth == len(steps):
+                raise FormulaError("matrix undecided after the full prefix; formula is not closed")
+            kind, values, literals = steps[depth]
+            children = (simplify(clauses, literals[value]) for value in values)
+            if depth < first_plain:
+                break
+            first = next(children)
+            if first != clauses:
+                children = chain((first,), children)
+                break
+            depth += 1  # a plain variable that no longer occurs: nothing to branch on
         # An existential step is decided by its first true branch, a
         # universal one by its first false branch.
         exists = kind is QuantifierKind.EXISTS
-        for value in values:
-            if descend(simplify(clauses, literals[value]), depth + 1) is exists:
+        for child in children:
+            if descend(child, depth + 1) is exists:
                 return exists
         return not exists
 

@@ -129,6 +129,22 @@ def reference_bounded_value(formula: Formula) -> bool:
     return rec(0, {})
 
 
+def quantified_chain(pairs: int) -> str:
+    """A true QDIMACS formula whose oracle search visits every universal
+    branch, unit propagation or not: forall u1..uk exists e1..ek with
+    (u_i | e_i) and (-u_i | -e_i) for each of the k = `pairs` pairs.  Its
+    annotation splits (u1, u2) into 3 sub-problems of 2^(k-2) branches."""
+    clauses = [f"{sign}{u} {sign}{u + pairs} 0" for u in range(1, pairs + 1) for sign in ("", "-")]
+    lines = [
+        "cs int [1 2] <3",
+        f"p cnf {2 * pairs} {len(clauses)}",
+        "a " + " ".join(map(str, range(1, pairs + 1))) + " 0",
+        "e " + " ".join(map(str, range(pairs + 1, 2 * pairs + 1))) + " 0",
+        *clauses,
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def legacy_parse(text: str):
     """Minimal legacy-style reader: any line starting with 'c' is a comment.
 

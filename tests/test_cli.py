@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import intsplits
-from conftest import correct_pipeline_case, reference_value_of_formula
+from conftest import correct_pipeline_case, quantified_chain, reference_value_of_formula
 from intsplits import cli
 from intsplits.cli import main
 
@@ -227,29 +227,23 @@ def test_run_timeout_records_unknown_with_budget(fig1, tmp_path):
     assert all(abs(float(row.split(",")[2]) - 0.2) < 1e-6 for row in rows)
 
 
-def _quantified_chain(path: Path, universals: int) -> Path:
-    """A true formula whose oracle search visits every universal branch:
-    `universals` universal variables, then one existential."""
-    n = universals + 1
-    prefix = " ".join(str(v) for v in range(1, n))
-    path.write_text(
-        f"cs int [1 2] <3\np cnf {n} 2\na {prefix} 0\ne {n} 0\n{n - 1} {n} 0\n-{n - 1} -{n} 0\n"
-    )
+def _quantified_chain(path: Path, pairs: int) -> Path:
+    path.write_text(quantified_chain(pairs))
     return path
 
 
 @pytest.mark.parametrize(
-    "universals, solver, timeout, timed_out",
+    "pairs, solver, timeout, timed_out",
     [
         (22, "{missing} {{file}}", 30.0, False),  # solver binary not found
         (22, "{python} -c 'import sys; sys.exit(3)' {{file}}", 30.0, False),  # exit code 3
-        (1999, None, 30.0, False),  # 2000 steps, deeper than the oracle's recursion limit
-        (22, None, 0.2, True),  # 2^22 branches, past the oracle's deadline
+        (1000, None, 30.0, False),  # 2000 steps, deeper than the oracle's recursion limit
+        (22, None, 0.2, True),  # 2^20 branches, past the oracle's deadline
     ],
     ids=["missing-solver", "exit-code-3", "oracle-budget", "oracle-deadline"],
 )
-def test_run_outcomes_recorded_as_unknown(universals, solver, timeout, timed_out, tmp_path):
-    formula = _quantified_chain(tmp_path / "chain.qdimacs", universals)
+def test_run_outcomes_recorded_as_unknown(pairs, solver, timeout, timed_out, tmp_path):
+    formula = _quantified_chain(tmp_path / "chain.qdimacs", pairs)
     out = tmp_path / "out"
     assert run_cli("split", formula, "--depth", 2, "--out", out) == 0
     args = ["run", out, "--jobs", 3, "--timeout", timeout]

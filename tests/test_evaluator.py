@@ -4,6 +4,7 @@ annotation-correctness check and the evaluation budget."""
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -11,7 +12,9 @@ from conftest import (
     A,
     E,
     matrix_of,
+    quantified_chain,
     random_annotated_formula,
+    random_clauses,
     random_constraint,
     reference_bounded_value,
     reference_value_of_formula,
@@ -26,11 +29,16 @@ from intsplits import (
     Less,
     Matrix,
     QuantifierBlock,
+    SplitMode,
     Top,
     check_correctness,
+    enumerate_accounted,
     evaluate,
     evaluate_with_intsplits,
+    expanded_copy,
     parse,
+    plan,
+    sorted_annotations,
 )
 
 XOR_MATRIX = matrix_of([(1, 2), (-1, -2)], 2)
@@ -139,6 +147,96 @@ def test_bounded_and_plain_semantics_match_the_references():
     assert evaluate(crossed) is evaluate_with_intsplits(crossed) is True
 
 
+def _gate_draw(rng: random.Random) -> Formula:
+    """A random closed QBF of 1-8 variables in up to six alternating blocks;
+    one draw in eight is prefix-free.  Bit-vectors of width 1-3, each with
+    one or two random constraints, claim the front of the prefix, and the
+    other variables stay plain.  The matrix mixes random clauses with
+    tautologies and unit clauses, some of them complementary."""
+    total = rng.randint(1, 8)
+    cuts = sorted(rng.sample(range(1, total), min(total - 1, rng.randint(0, 5))))
+    kind = rng.choice([E, A])
+    blocks = []
+    for lo, hi in zip([0, *cuts], [*cuts, total]):
+        blocks.append(QuantifierBlock(kind, tuple(range(lo + 1, hi + 1))))
+        kind = A if kind is E else E
+    prefix_free = rng.random() < 0.125
+    if prefix_free:
+        blocks = [QuantifierBlock(E, tuple(range(1, total + 1)))]
+    claimed = rng.randint(0, total)
+    annotations = []
+    for block in blocks:
+        free = [v for v in block.variables if v <= claimed]
+        while free:
+            width = rng.randint(1, min(3, len(free)))
+            vector, free = tuple(free[:width]), free[width:]
+            constraints = tuple(random_constraint(rng, width) for _ in range(rng.randint(1, 2)))
+            annotations.append(AnnotatedQuantifier(block.kind, BitVectorVar(vector), constraints))
+    variables = list(range(1, total + 1))
+    clauses = random_clauses(rng, variables, rng.randint(1, total + 2))
+    for _ in range(rng.randint(0, 2)):
+        v = rng.choice(variables)
+        clauses.append((v, -v, *random_clauses(rng, variables, 1)[0]))
+    for _ in range(rng.randint(0, 3)):
+        clauses.append((rng.choice(variables) * rng.choice([1, -1]),))
+    if rng.random() < 0.25:
+        v = rng.choice(variables)
+        clauses += [(v,), (-v,)]
+    rng.shuffle(clauses)
+    prefix = () if prefix_free else tuple(blocks)
+    return Formula(matrix_of(clauses, total), prefix, tuple(annotations))
+
+
+def _sub_problem(rng: random.Random, formula: Formula) -> Formula:
+    """One accounted sub-problem of a random split: its assigned variables
+    in a trailing existential block, their values as unit clauses."""
+    depth = rng.randint(1, len(formula.prefix_variables()))
+    mode = SplitMode.PLAIN
+    if formula.annotations and sorted_annotations(formula)[0].width <= depth:
+        mode = rng.choice([SplitMode.PLAIN, SplitMode.INTSPLIT])
+    expansions = list(enumerate_accounted(plan(formula, depth, mode)))
+    return expanded_copy(formula, rng.choice(expansions))
+
+
+def test_propagation_matches_the_references_on_sub_problems():
+    # Unit propagation, the universal-unit and complementary-unit rules and
+    # passing absent variables are sound only on plain variables; drawn
+    # formulas and their sub-problems put units and tautologies on annotated
+    # and plain, universal and existential variables alike.
+    rng = random.Random(20261019)
+    differ = 0
+    for _ in range(2000):
+        drawn = _gate_draw(rng)
+        for formula in (drawn, _sub_problem(rng, drawn)):
+            plain = reference_value_of_formula(formula)
+            bounded = reference_bounded_value(formula)
+            assert evaluate(formula) is plain, formula
+            assert evaluate_with_intsplits(formula) is bounded, formula
+            differ += bounded != plain
+    assert differ > 0
+
+
+def test_the_split_units_decide_a_sub_problem_at_its_root():
+    # forall x1..x4 exists e5..e64 with (x1 | x2 | x3 | x4) and
+    # (e_i | x_(i mod 4 + 1)).  A sub-problem quantifies the split's x after
+    # the 60 free e_i, so a search that did not propagate the units of x
+    # would branch over up to 2^60 values of the e_i before meeting them.
+    free = tuple(range(5, 65))
+    clauses = [(1, 2, 3, 4)] + [(e, e % 4 + 1) for e in free]
+    formula = Formula(
+        matrix_of(clauses, 64),
+        (QuantifierBlock(A, (1, 2, 3, 4)), QuantifierBlock(E, free)),
+        (AnnotatedQuantifier(A, BitVectorVar((1, 2, 3, 4)), (Top(),)),),
+    )
+    expansions = list(enumerate_accounted(plan(formula, 4)))
+    # x = 0 falsifies the first clause; x = 1 sets x4 and forces the other e_i.
+    for value, truth in ((0, False), (1, True)):
+        sub = expanded_copy(formula, expansions[value])
+        budget = EvalBudget(max_variables=None, deadline=time.monotonic() + 5)
+        assert evaluate(sub, budget) is truth
+        assert evaluate_with_intsplits(sub, budget) is truth
+
+
 def test_bitwise_and_vectorwise_evaluation_agree():
     # grouping plain variables into unrestricted vectors must not change
     # anything, whatever the grouping
@@ -160,7 +258,8 @@ def test_budget_limits():
     with pytest.raises(BudgetExceededError):
         evaluate(wide, EvalBudget(max_variables=30, deadline=0.0))
     assert evaluate(wide, EvalBudget(max_variables=None)) is True
-    # 2000 steps that leave the matrix undecided recurse past Python's limit.
-    long = Formula(matrix_of([(2000,)], 2000), (QuantifierBlock(E, tuple(range(1, 2001))),))
+    # 1000 universal steps that each leave the matrix undecided, however far
+    # the units propagate, recurse past Python's limit.
+    long = parse(quantified_chain(1000))
     with pytest.raises(BudgetExceededError, match="2000 quantification steps exceed the recursion limit"):
         evaluate(long, EvalBudget(max_variables=None))
