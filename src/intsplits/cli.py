@@ -346,7 +346,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     manifest = read_manifest(directory / MANIFEST_NAME)
     total = len(manifest.entries)
     files = subproblem_files(directory, total)
-    unlisted = [index for index in files if index >= total]
+    unlisted = sorted(index for index in files if index >= total)
     if unlisted:
         raise IntsplitsError(
             f"{MANIFEST_NAME} lists {total} sub-problems, but {directory} also holds "

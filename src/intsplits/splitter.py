@@ -13,18 +13,25 @@ trailing existential block (a forced universal variable would make the copy
 trivially false and would defeat constraint propagation); annotations whose
 bit-vector was expanded are dropped, the remaining ones are kept so copies
 can be split again.
+
+`qdimacs.write(expanded_copy(...))` specifies a file's text.  Everything
+but its unit lines depends only on which variables the plan expands, so a
+split renders it once, for the first assignment, and writes each file as
+that shared head plus the file's own unit lines, and plan.csv in the same
+pass.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, groupby, product
 from math import prod
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TextIO
 
 from .errors import BlockMismatchError, EmptyPlanError, FormulaError, MergeError
 from .formula import (
@@ -156,11 +163,13 @@ def count_without_intsplits(split_plan: SplitPlan) -> int:
 def enumerate_accounted(split_plan: SplitPlan) -> Iterator[ExpansionIndex]:
     """All accounted assignments, lexicographic over the concatenated
     bit-vectors in plan order (MSB first, last vector varies fastest)."""
-    quantifiers = split_plan.quantifiers
-    var_groups = [aq.bitvector.variables for aq in quantifiers]
-    for index, values in enumerate(product(*map(accounted_values, quantifiers))):
-        literals = chain.from_iterable(map(literals_of, var_groups, values))
-        yield ExpansionIndex(index, tuple(literals))
+    # One literal tuple per accounted value of each vector, built once.
+    tables = [
+        [literals_of(aq.bitvector.variables, value) for value in accounted_values(aq)]
+        for aq in split_plan.quantifiers
+    ]
+    for index, parts in enumerate(product(*tables)):
+        yield ExpansionIndex(index, tuple(chain.from_iterable(parts)))
 
 
 def subproblem_name(index: int, count: int, original_name: str) -> str:
@@ -181,8 +190,8 @@ def subproblem_index(name: str) -> int | None:
 
 def subproblem_files(directory: str | Path, count: int) -> dict[int, Path]:
     """The files of one split of `count` sub-problems in `directory`, by
-    index: those named `subproblem_name(index, count, original)` for the
-    one original name the split used.
+    index, in directory order: those named `subproblem_name(index, count,
+    original)` for the one original name the split used.
 
     That is the shortest original the names carry.  A file that extends
     it, such as a solver's `{file}.drat` or a log beside its input, is not
@@ -190,16 +199,17 @@ def subproblem_files(directory: str | Path, count: int) -> dict[int, Path]:
     is an error.
     """
     by_original: dict[str, dict[int, Path]] = {}
-    for path in sorted(Path(directory).iterdir()):
-        index = subproblem_index(path.name)
-        if index is None or not path.is_file():
-            continue
-        original = path.name.split("-", 1)[1]
-        if path.name == subproblem_name(index, count, original):
-            by_original.setdefault(original, {})[index] = path
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            index = subproblem_index(entry.name)
+            if index is None or not entry.is_file():
+                continue
+            original = entry.name.split("-", 1)[1]
+            if entry.name == subproblem_name(index, count, original):
+                by_original.setdefault(original, {})[index] = Path(entry.path)
     if not by_original:
         return {}
-    original = min(by_original, key=len)
+    original = min(by_original, key=lambda name: (len(name), name))
     others = sorted(name for name in by_original if not name.startswith(original))
     if others:
         raise MergeError(
@@ -273,15 +283,40 @@ def split_formula(
     original_name: str,
     force: bool = False,
 ) -> list[Path]:
-    """Emit every accounted sub-problem plus the plan manifest."""
+    """Emit every accounted sub-problem plus the plan manifest.
+
+    Without `force`, an existing sub-problem file refuses the split before
+    anything changes.  plan.csv exists only for a split that completed.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     total = count_subproblems(split_plan)
-    paths = [
-        emit_subproblem(formula, expansion, out_dir, original_name, total, force)
-        for expansion in enumerate_accounted(split_plan)
-    ]
-    write_manifest(split_plan, out_dir)
+    names = [subproblem_name(index, total, original_name) for index in range(total)]
+    if not force and (taken := set(os.listdir(out_dir)).intersection(names)):
+        raise FileExistsError(f"{out_dir / min(taken)} already exists (use force to overwrite)")
+    unit_line = {lit: f"{lit} 0\n" for v in split_plan.variables for lit in (v, -v)}
+    expansions = enumerate_accounted(split_plan)
+    first = next(expansions)
+    text = qdimacs.write(expanded_copy(formula, first))
+    head = text.removesuffix("".join([unit_line[lit] for lit in first.literals])).encode()
+    manifest = out_dir / MANIFEST_NAME
+    scratch = manifest.with_name(MANIFEST_NAME + ".tmp")
+    manifest.unlink(missing_ok=True)
+    paths = []
+    try:
+        with scratch.open("w", newline="") as plan_file:
+            write_row = _manifest_writer(split_plan, plan_file)
+            for expansion in chain((first,), expansions):
+                path = out_dir / names[expansion.index]
+                units = "".join([unit_line[lit] for lit in expansion.literals])
+                with path.open("wb" if force else "xb") as handle:
+                    handle.write(head + units.encode())
+                write_row(expansion)
+                paths.append(path)
+    except BaseException:
+        scratch.unlink(missing_ok=True)
+        raise
+    os.replace(scratch, manifest)
     return paths
 
 
@@ -298,13 +333,22 @@ def write_manifest(split_plan: SplitPlan, out_dir: str | Path) -> Path:
     """plan.csv: `# mode=M depth=D`, then one `index,var=bit;...` row per sub-problem."""
     path = Path(out_dir) / MANIFEST_NAME
     with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([f"# mode={split_plan.mode.value} depth={split_plan.requested_depth}"])
-        writer.writerow(["index", "assignment"])
+        write_row = _manifest_writer(split_plan, handle)
         for expansion in enumerate_accounted(split_plan):
-            items = ";".join(f"{abs(lit)}={int(lit > 0)}" for lit in expansion.literals)
-            writer.writerow([expansion.index, items])
+            write_row(expansion)
     return path
+
+
+def _manifest_writer(split_plan: SplitPlan, handle: TextIO) -> Callable[[ExpansionIndex], int]:
+    """Write plan.csv's first two lines; return the writer of one expansion's row.
+
+    plan.csv is the CSV that csv.writer writes: CRLF line ends, and no field
+    that needs quoting.  Each literal's `var=bit` item is formatted once.
+    """
+    handle.write(f"# mode={split_plan.mode.value} depth={split_plan.requested_depth}\r\n")
+    handle.write("index,assignment\r\n")
+    item = {lit: f"{abs(lit)}={int(lit > 0)}" for v in split_plan.variables for lit in (v, -v)}
+    return lambda e: handle.write(f"{e.index},{';'.join([item[lit] for lit in e.literals])}\r\n")
 
 
 def read_manifest(path: str | Path) -> Manifest:

@@ -97,6 +97,34 @@ def test_split_refuses_overwrite_without_force(fig1, tmp_path):
     assert run_cli("split", fig1, "--depth", 4, "--out", out, "--force") == 0
 
 
+def test_a_split_that_fails_part_way_leaves_no_plan(fig1, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("split", fig1, "--depth", 2, "--out", out) == 0
+    (out / "0005-fig1.qdimacs").mkdir()
+    assert run_cli("split", fig1, "--depth", 4, "--out", out, "--force") == 1
+    assert (out / "0004-fig1.qdimacs").exists()
+    assert not (out / "plan.csv").exists()
+    assert not (out / "plan.csv.tmp").exists()
+    capsys.readouterr()
+    assert run_cli("run", out) == 1
+    assert "plan.csv" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
+def test_a_refused_split_changes_nothing(fig1, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("split", fig1, "--depth", 2, "--out", out) == 0
+    for path in out.iterdir():
+        if path.name != "plan.csv":
+            path.unlink()
+    (out / "0005-fig1.qdimacs").write_text("stale\n")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert run_cli("split", fig1, "--depth", 4, "--out", out) == 1
+    assert f"{out / '0005-fig1.qdimacs'} already exists (use force to overwrite)" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_split_refuses_the_results_of_an_earlier_split(tmp_path, capsys):
     formula = tmp_path / "f.qdimacs"
     formula.write_text(FIG1_TEXT)

@@ -14,11 +14,14 @@ from conftest import (
     correct_pipeline_case,
     matrix_of,
     random_annotated_formula,
+    random_constraint,
     reference_accounted,
 )
 from intsplits import (
+    AnnotatedQuantifier,
     EmptyPlanError,
     Formula,
+    InSet,
     MergeError,
     QuantifierBlock,
     SplitMode,
@@ -39,7 +42,8 @@ from intsplits import (
     write,
     write_manifest,
 )
-from intsplits.splitter import emit_subproblem
+from intsplits import qdimacs, splitter
+from intsplits.splitter import emit_subproblem, expanded_copy
 
 TRIPLE_19 = parse(
     "cs int <19\ncs int <19\ncs int <19\n"
@@ -253,6 +257,82 @@ def test_dimacs_mode_split(tmp_path):
     sub = parse_file(paths[0])
     assert sub.prefix == ()  # DIMACS stays DIMACS
     assert len(sub.matrix.clauses) == 4
+
+
+def _render_case(rng: random.Random) -> Formula:
+    """A random formula with one or two random constraints per annotation;
+    one in four is prefix-free DIMACS, whose annotations are existential."""
+    formula = random_annotated_formula(rng, max_vars=8, require_correct=False)
+    dimacs = rng.random() < 0.25
+    annotations = tuple(
+        AnnotatedQuantifier(
+            E if dimacs else aq.kind,
+            aq.bitvector,
+            tuple(random_constraint(rng, aq.width) for _ in range(rng.randint(1, 2))),
+        )
+        for aq in formula.annotations
+    )
+    return Formula(formula.matrix, () if dimacs else formula.prefix, annotations)
+
+
+def test_split_files_are_the_rendering_of_their_expanded_copy(tmp_path):
+    """Each file split_formula writes from its shared head equals
+    write(expanded_copy(...)), and its plan.csv equals write_manifest's."""
+    rng = random.Random(20261019)
+    cases = [(parse("p cnf 0 0\n"), 1, SplitMode.PLAIN)]
+    for _ in range(300):
+        formula = _render_case(rng)
+        mode = rng.choice(list(SplitMode))
+        cases.append((formula, rng.randint(1, 6), mode))
+    (tmp_path / "manifest").mkdir()
+    seen = {"plain": 0, "cut": 0, "dimacs": 0, "intervals": 0, "in-set": 0, "no-units": 0}
+    for at, (formula, depth, mode) in enumerate(cases):
+        try:
+            chosen = plan(formula, depth, mode)
+        except EmptyPlanError:
+            continue
+        out = tmp_path / f"case{at}"
+        paths = split_formula(formula, chosen, out, "f.cnf", force=at % 2 == 0)
+        expansions = list(enumerate_accounted(chosen))
+        names = [subproblem_name(e.index, len(expansions), "f.cnf") for e in expansions]
+        assert [p.name for p in paths] == names
+        assert sorted(p.name for p in out.iterdir()) == sorted([*names, "plan.csv"])
+        for path, expansion in zip(paths, expansions):
+            assert path.read_bytes() == write(expanded_copy(formula, expansion)).encode()
+        manifest = write_manifest(chosen, tmp_path / "manifest")
+        assert (out / "plan.csv").read_bytes() == manifest.read_bytes()
+        seen["plain"] += mode is SplitMode.PLAIN
+        seen["cut"] += any(
+            0 < len(set(chosen.variables) & set(aq.bitvector.variables)) < aq.width
+            for aq in formula.annotations
+        )
+        seen["dimacs"] += not formula.prefix
+        seen["intervals"] += any(len(aq.intervals) > 1 for aq in chosen.quantifiers)
+        seen["in-set"] += any(
+            isinstance(c, InSet) for aq in formula.annotations for c in aq.constraints
+        )
+        seen["no-units"] += not expansions[0].literals
+    assert all(seen.values()), seen
+
+
+def test_split_renders_the_formula_once(monkeypatch, tmp_path):
+    calls = {"expanded_copy": 0, "write": 0, "enumerate_accounted": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(splitter, "expanded_copy")
+    counted(qdimacs, "write")
+    counted(splitter, "enumerate_accounted")
+    paths = split_formula(TRIPLE_19, plan(TRIPLE_19, 10), tmp_path, "t.qdimacs")
+    assert len(paths) == 361
+    assert calls == {"expanded_copy": 1, "write": 1, "enumerate_accounted": 1}
 
 
 def test_manifest_roundtrip_and_verification(tmp_path):
