@@ -4,6 +4,12 @@ Diagnostics go to stderr; machine-readable output goes to stdout or to
 files inside the working directory.  Exit status 0 means the requested
 artifact was produced; budget overruns exit with 2 to stay distinguishable
 from parse and validation failures (exit 1).
+
+`run` solves each sub-problem in a worker process forked from it.  With
+the built-in oracle it parses the split's shared head once, before the
+fork; a worker still reads every file, and one that is that head plus the
+unit lines of its plan.csv literals needs no parse (see
+`splitter._subproblem_reader`).
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from itertools import islice
 from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from subprocess import DEVNULL
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from . import qdimacs
 from .errors import BudgetExceededError, DuplicateResultError, IntsplitsError, UnparsableRowError
@@ -45,6 +51,7 @@ from .merger import (
 )
 from .splitter import (
     MANIFEST_NAME,
+    Manifest,
     SplitMode,
     SplitPlan,
     count_subproblems,
@@ -54,6 +61,7 @@ from .splitter import (
     split_formula,
     subproblem_files,
     verify_manifest,
+    _subproblem_reader,
 )
 
 RESULTS_NAME = "results.csv"
@@ -180,16 +188,23 @@ def _exit_code(template: list[str], path: Path, timeout: float) -> int:
         process.wait()
 
 
-def _solve(path: Path, solver: list[str] | None, timeout: float) -> ResultTuple:
-    """Solve one sub-problem with the built-in oracle (`solver` None), whose
-    only limit is `timeout`, or an external solver command that exits 10 for
-    true and 20 for false.  Anything else is UNKNOWN, timed
+def _solve(
+    path: Path,
+    literals: tuple[int, ...],
+    read: Callable[[Path, Sequence[int]], Formula] | None,
+    solver: list[str] | None,
+    timeout: float,
+) -> ResultTuple:
+    """Solve one sub-problem with the built-in oracle (`solver` None), on
+    the formula that `read` gives for its file and plan literals, whose only
+    limit is `timeout`; or with an external solver command that exits 10
+    for true and 20 for false.  Anything else is UNKNOWN, timed
     min(elapsed, timeout)."""
     started = time.monotonic()
     code = ResultCode.UNKNOWN
     try:
         if solver is None:
-            formula = qdimacs.parse_file(path)
+            formula = read(path, literals)
             value = evaluate(formula, EvalBudget(max_variables=None, deadline=started + timeout))
             code = ResultCode.TRUE if value else ResultCode.FALSE
         else:
@@ -200,15 +215,14 @@ def _solve(path: Path, solver: list[str] | None, timeout: float) -> ResultTuple:
     return ResultTuple(code, min(elapsed, timeout) if code is ResultCode.UNKNOWN else elapsed)
 
 
-_Task = tuple[int, Path]  # a sub-problem's index and file
 _Batch = list[tuple[int, ResultTuple]]  # results that reach `run` together
 
 
 def _worker(
-    connection: Connection, inherited: list[Connection], parent: int, solver: list[str] | None, timeout: float
+    connection: Connection, inherited: list[Connection], parent: int, solve: Callable[[int], ResultTuple]
 ) -> None:
-    """Worker process: solve each chunk of tasks the parent sends and send
-    back their results, until it sends None or has ended."""
+    """Worker process: solve each chunk of task indices the parent sends and
+    send back their results, until it sends None or has ended."""
     # Linux stops a worker whose `run` dies, unless it died before this call.
     if sys.platform == "linux":
         import ctypes  # here, so that `run` itself does not load it
@@ -230,17 +244,20 @@ def _worker(
         end.close()
     try:
         while (chunk := connection.recv()) is not None:
-            connection.send([(index, _solve(path, solver, timeout)) for index, path in chunk])
+            connection.send([(index, solve(index)) for index in chunk])
     except (EOFError, BrokenPipeError):
         pass  # `run` was killed; the results have nowhere to go
 
 
-def _results(tasks: list[_Task], solver: list[str] | None, jobs: int, timeout: float) -> Iterator[_Batch]:
-    """Solve `tasks` in up to `jobs` forked worker processes; yields each
-    chunk's results as they arrive.
+def _results(
+    tasks: list[int], solve: Callable[[int], ResultTuple], one_by_one: bool, jobs: int
+) -> Iterator[_Batch]:
+    """Solve the tasks of indices `tasks` with `solve` in up to `jobs`
+    forked worker processes, which inherit it; yields each chunk's results
+    as they arrive.
 
-    With an external solver a worker takes one task at a time, so each row
-    is written when its solver ends.  With the oracle it takes
+    With `one_by_one`, as for an external solver, a worker takes one task at
+    a time, so each row is written when its solver ends.  Otherwise it takes
     ceil(tasks / (8 * jobs)) consecutive tasks: one message per task costs
     more than a small task, and eight chunks per worker balance uneven ones.
     Every worker has ended when the generator returns or is closed: a worker
@@ -248,7 +265,7 @@ def _results(tasks: list[_Task], solver: list[str] | None, jobs: int, timeout: f
     still running are terminated with their solvers, and the results they
     had not reported are lost.
     """
-    size = 1 if solver else -(-len(tasks) // (8 * jobs)) or 1
+    size = 1 if one_by_one else -(-len(tasks) // (8 * jobs)) or 1
     chunks = iter([tasks[at : at + size] for at in range(0, len(tasks), size)])
     context = multiprocessing.get_context("fork")
     workers: dict[Connection, multiprocessing.process.BaseProcess] = {}
@@ -256,7 +273,7 @@ def _results(tasks: list[_Task], solver: list[str] | None, jobs: int, timeout: f
         for chunk in islice(chunks, jobs):
             ours, theirs = context.Pipe()
             worker = context.Process(
-                target=_worker, args=(theirs, [ours, *workers], os.getpid(), solver, timeout)
+                target=_worker, args=(theirs, [ours, *workers], os.getpid(), solve)
             )
             with _stop_signals_held():  # until the worker has set its own handlers
                 worker.start()
@@ -341,10 +358,21 @@ def _existing_results(path: Path) -> tuple[dict[int, ResultTuple], bool]:
     return done, intact and last.endswith("\n")
 
 
+def _manifest(directory: Path) -> Manifest:
+    try:
+        return read_manifest(directory / MANIFEST_NAME)
+    except FileNotFoundError:
+        raise IntsplitsError(
+            f"{directory} has no {MANIFEST_NAME}: its split did not complete, or it is not "
+            f"a split directory; split the formula into it again"
+        ) from None
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     directory = Path(args.dir)
-    manifest = read_manifest(directory / MANIFEST_NAME)
-    total = len(manifest.entries)
+    manifest = _manifest(directory)
+    entries = manifest.entries
+    total = len(entries)
     files = subproblem_files(directory, total)
     unlisted = sorted(index for index in files if index >= total)
     if unlisted:
@@ -377,8 +405,14 @@ def cmd_run(args: argparse.Namespace) -> int:
             writer.writerow(RESULTS_HEADER)
             writer.writerows(result_row(index, result) for index, result in done.items())
         os.replace(scratch, results_path)
-    tasks = [(index, files[index]) for index in pending]
-    batches = _results(tasks, args.solver, args.jobs, args.timeout)
+    read = None
+    if pending and not args.solver:  # parse the split's shared head once, before the fork
+        read = _subproblem_reader(files[pending[0]], entries[pending[0]].literals)
+
+    def solve(index: int) -> ResultTuple:
+        return _solve(files[index], entries[index].literals, read, args.solver, args.timeout)
+
+    batches = _results(pending, solve, bool(args.solver), args.jobs)
     unknown = 0
     with _stop_signals(), results_path.open("a", newline="") as handle, closing(batches):
         writer = csv.writer(handle)
@@ -393,7 +427,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_merge(args: argparse.Namespace) -> int:
     formula = _load(args)
     directory = Path(args.dir)
-    manifest = read_manifest(directory / MANIFEST_NAME)
+    manifest = _manifest(directory)
     split_plan = plan(formula, manifest.depth, manifest.mode)
     verify_manifest(split_plan, manifest)
     source = Path(args.results) if args.results else directory / RESULTS_NAME

@@ -18,7 +18,11 @@ can be split again.
 but its unit lines depends only on which variables the plan expands, so a
 split renders it once, for the first assignment, and writes each file as
 that shared head plus the file's own unit lines, and plan.csv in the same
-pass.
+pass.  `_subproblem_reader` reads the files back the same way: it parses
+the head once, and a file that is the head plus the unit lines of its
+plan.csv literals becomes the head's formula plus those unit clauses
+without a parse.  The file stays the specification: any other file is
+parsed in full.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import csv
 import os
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, groupby, product
@@ -33,7 +38,7 @@ from math import prod
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TextIO
 
-from .errors import BlockMismatchError, EmptyPlanError, FormulaError, MergeError
+from .errors import BlockMismatchError, EmptyPlanError, FormulaError, IntsplitsError, MergeError
 from .formula import (
     AnnotatedQuantifier,
     AnnotationCursor,
@@ -270,10 +275,18 @@ def emit_subproblem(
 ) -> Path:
     """Write one sub-problem file; refuses to overwrite unless forced."""
     path = Path(out_dir) / subproblem_name(expansion.index, count, original_name)
-    if path.exists() and not force:
-        raise FileExistsError(f"{path} already exists (use force to overwrite)")
-    path.write_text(qdimacs.write(expanded_copy(formula, expansion)))
+    text = qdimacs.write(expanded_copy(formula, expansion)).encode()
+    try:
+        with path.open("wb" if force else "xb") as handle:
+            handle.write(text)
+    except FileExistsError:
+        raise FileExistsError(f"{path} already exists (use force to overwrite)") from None
     return path
+
+
+def _unit_line(lit: int) -> bytes:
+    """The line that a sub-problem file holds for one literal of its assignment."""
+    return b"%d 0\n" % lit
 
 
 def split_formula(
@@ -294,11 +307,11 @@ def split_formula(
     names = [subproblem_name(index, total, original_name) for index in range(total)]
     if not force and (taken := set(os.listdir(out_dir)).intersection(names)):
         raise FileExistsError(f"{out_dir / min(taken)} already exists (use force to overwrite)")
-    unit_line = {lit: f"{lit} 0\n" for v in split_plan.variables for lit in (v, -v)}
+    unit_line = {lit: _unit_line(lit) for v in split_plan.variables for lit in (v, -v)}
     expansions = enumerate_accounted(split_plan)
     first = next(expansions)
-    text = qdimacs.write(expanded_copy(formula, first))
-    head = text.removesuffix("".join([unit_line[lit] for lit in first.literals])).encode()
+    text = qdimacs.write(expanded_copy(formula, first)).encode()
+    head = text.removesuffix(b"".join([unit_line[lit] for lit in first.literals]))
     manifest = out_dir / MANIFEST_NAME
     scratch = manifest.with_name(MANIFEST_NAME + ".tmp")
     manifest.unlink(missing_ok=True)
@@ -308,9 +321,8 @@ def split_formula(
             write_row = _manifest_writer(split_plan, plan_file)
             for expansion in chain((first,), expansions):
                 path = out_dir / names[expansion.index]
-                units = "".join([unit_line[lit] for lit in expansion.literals])
                 with path.open("wb" if force else "xb") as handle:
-                    handle.write(head + units.encode())
+                    handle.write(head + b"".join([unit_line[lit] for lit in expansion.literals]))
                 write_row(expansion)
                 paths.append(path)
     except BaseException:
@@ -318,6 +330,43 @@ def split_formula(
         raise
     os.replace(scratch, manifest)
     return paths
+
+
+def _subproblem_reader(first: Path, literals: Sequence[int]) -> Callable[[Path, Sequence[int]], Formula]:
+    """A reader of a split's sub-problem files, each given with the literals
+    that plan.csv lists for it, that returns what `qdimacs.parse_file` does
+    but parses the split's shared head only once, here.
+
+    The head is the text of `first`, the file of assignment `literals`,
+    before its unit lines; it must end at a line break, or its last line
+    and the first unit line would read as one clause.  A file that is the
+    head plus the unit lines of as many literals of its own is the head's
+    formula plus those unit clauses, which the constructors validate.  Any
+    other file, or one they refuse, is parsed in full; so is every file when
+    `first` is not its head plus its unit lines or does not parse.
+    """
+    units = b"".join(map(_unit_line, literals))
+    whole = None
+    with suppress(OSError, IntsplitsError):
+        text = first.read_bytes()
+        head = text[: len(text) - len(units)]
+        if text.endswith(units) and head.endswith(b"\n"):
+            whole = qdimacs.parse(text)
+    if whole is None:
+        return lambda path, literals: qdimacs.parse_file(path)
+    count = len(literals)
+    clauses = whole.matrix.clauses[: len(whole.matrix.clauses) - count]
+
+    def read(path: Path, literals: Sequence[int]) -> Formula:
+        text = path.read_bytes()
+        units = b"".join(map(_unit_line, literals))
+        if len(literals) == count and text.startswith(head) and text[len(head) :] == units:
+            with suppress(FormulaError):
+                matrix = Matrix(clauses + tuple((lit,) for lit in literals), whole.matrix.variable_count)
+                return Formula(matrix, whole.prefix, whole.annotations)
+        return qdimacs.parse(text)
+
+    return read
 
 
 @dataclass(frozen=True)
@@ -353,6 +402,7 @@ def _manifest_writer(split_plan: SplitPlan, handle: TextIO) -> Callable[[Expansi
 
 def read_manifest(path: str | Path) -> Manifest:
     entries: list[ExpansionIndex] = []
+    literal_of: dict[str, int] = {}  # each distinct `var=bit` item, checked once
     # A byte that is not UTF-8 becomes U+FFFD and fails its row's parse.
     with Path(path).open(newline="", errors="replace") as handle:
         settings = _SETTINGS.fullmatch(handle.readline().rstrip("\r\n"))
@@ -371,10 +421,12 @@ def read_manifest(path: str | Path) -> Manifest:
                 literals = []
                 if row[1].strip():
                     for item in row[1].split(";"):
-                        var, bit = map(int, item.split("="))
-                        if var < 1 or bit not in (0, 1):
-                            raise ValueError
-                        literals.append(var if bit else -var)
+                        if item not in literal_of:
+                            var, bit = map(int, item.split("="))
+                            if var < 1 or bit not in (0, 1):
+                                raise ValueError
+                            literal_of[item] = var if bit else -var
+                        literals.append(literal_of[item])
             except ValueError:
                 raise MergeError(f"{path}: row {row_no} is not a valid plan entry") from None
             if index != len(entries):

@@ -105,10 +105,16 @@ def test_a_split_that_fails_part_way_leaves_no_plan(fig1, tmp_path, capsys):
     assert (out / "0004-fig1.qdimacs").exists()
     assert not (out / "plan.csv").exists()
     assert not (out / "plan.csv.tmp").exists()
+    message = (
+        f"error: {out} has no plan.csv: its split did not complete, or it is not a split "
+        f"directory; split the formula into it again\n"
+    )
     capsys.readouterr()
     assert run_cli("run", out) == 1
-    assert "plan.csv" in capsys.readouterr().err
+    assert capsys.readouterr().err == message
     assert not (out / "results.csv").exists()
+    assert run_cli("merge", fig1, out) == 1
+    assert capsys.readouterr().err == message
 
 
 def test_a_refused_split_changes_nothing(fig1, tmp_path, capsys):

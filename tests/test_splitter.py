@@ -22,6 +22,7 @@ from intsplits import (
     EmptyPlanError,
     Formula,
     InSet,
+    IntsplitsError,
     MergeError,
     QuantifierBlock,
     SplitMode,
@@ -42,7 +43,7 @@ from intsplits import (
     write,
     write_manifest,
 )
-from intsplits import qdimacs, splitter
+from intsplits import cli, qdimacs, splitter
 from intsplits.splitter import emit_subproblem, expanded_copy
 
 TRIPLE_19 = parse(
@@ -233,10 +234,14 @@ def test_emit_empty_assignment_is_identity_copy(tmp_path):
 def test_emit_refuses_overwrite_unless_forced(tmp_path):
     chosen = plan(FIG1, 4)
     expansion = next(iter(enumerate_accounted(chosen)))
-    emit_subproblem(FIG1, expansion, tmp_path, "f.qdimacs", 9)
-    with pytest.raises(FileExistsError):
+    path = tmp_path / subproblem_name(expansion.index, 9, "f.qdimacs")
+    path.write_bytes(b"earlier\n")
+    with pytest.raises(FileExistsError) as refused:
         emit_subproblem(FIG1, expansion, tmp_path, "f.qdimacs", 9)
-    emit_subproblem(FIG1, expansion, tmp_path, "f.qdimacs", 9, force=True)
+    assert str(refused.value) == f"{path} already exists (use force to overwrite)"
+    assert path.read_bytes() == b"earlier\n"
+    assert emit_subproblem(FIG1, expansion, tmp_path, "f.qdimacs", 9, force=True) == path
+    assert path.read_text() == write(expanded_copy(FIG1, expansion))
 
 
 def test_plain_mode_cut_through_bitvector_drops_annotations(tmp_path):
@@ -333,6 +338,132 @@ def test_split_renders_the_formula_once(monkeypatch, tmp_path):
     paths = split_formula(TRIPLE_19, plan(TRIPLE_19, 10), tmp_path, "t.qdimacs")
     assert len(paths) == 361
     assert calls == {"expanded_copy": 1, "write": 1, "enumerate_accounted": 1}
+
+
+def _outcome(read):
+    """What a read gives: the formula, or the class of the error it raises."""
+    try:
+        return read()
+    except IntsplitsError as exc:
+        return type(exc)
+
+
+def _unit_lines(literals) -> bytes:
+    return "".join(f"{lit} 0\n" for lit in literals).encode()
+
+
+def _mutants(rng: random.Random, text: bytes, literals: tuple[int, ...], formula: Formula):
+    """(kind, bytes, plan literals) for edits of sub-problem file `text`, the
+    shared head plus the unit lines of `literals`, of parsed `formula`."""
+    units = _unit_lines(literals)
+    head = text[: len(text) - len(units)]
+    at = rng.randrange(len(head))
+    byte = rng.choice([b for b in b"0123456789 -acep\n" if b != head[at]])
+    yield "head byte", head[:at] + bytes([byte]) + head[at + 1 :], literals
+    yield "extra line", text + rng.choice([b"c note\n", b"1 0\n", b"\n"]), literals
+    yield "no final newline", text[:-1], literals
+    if not literals:
+        return
+    swapped = list(literals)
+    swapped[rng.randrange(len(literals))] *= -1
+    yield "other literal", head + _unit_lines(swapped), literals
+    yield "crlf units", head + units.replace(b"\n", b"\r\n"), literals
+    yield "fewer units", head + _unit_lines(literals[1:]), literals[1:]
+    beyond = (*literals[:-1], formula.matrix.variable_count + 1)
+    yield "beyond count", head + _unit_lines(beyond), beyond
+    quantified = {v for block in formula.prefix for v in block.variables}
+    free = set(range(1, formula.matrix.variable_count + 1)) - quantified
+    if formula.prefix and free:
+        unquantified = (*literals[:-1], min(free))
+        yield "unquantified", head + _unit_lines(unquantified), unquantified
+    if literals[0] > 0:
+        # `-` + `5 0` reads as the clause (-5,): the head must end at a line break.
+        yield "glued", head + b"-" + units, literals
+
+
+def test_shared_head_reader_gives_what_parse_file_gives(tmp_path):
+    """The reader built from one file of a split gives `parse_file`'s
+    formula, or its error class, for every file of that split and for edits
+    of them, whichever file it takes its head from."""
+    rng = random.Random(20261020)
+    cases = [
+        (parse("cs int [1 2] <3\np cnf 5 2\na 1 2 0\ne 3 4 0\n1 3 0\n-2 4 0\n"), 2, SplitMode.INTSPLIT),
+        (parse("p cnf 0 0\n"), 1, SplitMode.PLAIN),
+    ]
+    for _ in range(150):
+        cases.append((_render_case(rng), rng.randint(1, 6), rng.choice(list(SplitMode))))
+    seen = dict.fromkeys(["plain", "cut", "dimacs", "intervals", "in-set", "resumed"], 0)
+    kinds: dict[str, int] = {}
+    for at, (formula, depth, mode) in enumerate(cases):
+        try:
+            chosen = plan(formula, depth, mode)
+        except EmptyPlanError:
+            continue
+        out = tmp_path / f"case{at}"
+        paths = split_formula(formula, chosen, out, "f.cnf")
+        entries = read_manifest(out / "plan.csv").entries
+        first = rng.randrange(len(paths)) if at % 2 else 0
+        read = splitter._subproblem_reader(paths[first], entries[first].literals)
+        for path, entry in zip(paths, entries):
+            assert read(path, entry.literals) == parse_file(path)
+
+        sub = parse_file(paths[first])
+        seen["plain"] += mode is SplitMode.PLAIN
+        seen["cut"] += any(
+            0 < len(set(chosen.variables) & set(aq.bitvector.variables)) < aq.width
+            for aq in formula.annotations
+        )
+        seen["dimacs"] += not formula.prefix
+        seen["intervals"] += any(len(aq.intervals) > 1 for aq in sub.annotations)
+        seen["in-set"] += any(isinstance(c, InSet) for aq in sub.annotations for c in aq.constraints)
+        seen["resumed"] += first != 0
+
+        other = out / "other.cnf"
+        for target in dict.fromkeys([first, rng.randrange(len(paths))]):
+            text, literals = paths[target].read_bytes(), entries[target].literals
+            for kind, mutant, plan_literals in _mutants(rng, text, literals, parse_file(paths[target])):
+                kinds[kind] = kinds.get(kind, 0) + 1
+                other.write_bytes(mutant)
+                expected = _outcome(lambda: parse_file(other))
+                assert _outcome(lambda: read(other, plan_literals)) == expected, kind
+                # The same edit in the file the head is taken from.
+                reread = splitter._subproblem_reader(other, plan_literals)
+                assert _outcome(lambda: reread(other, plan_literals)) == expected, kind
+                assert reread(paths[target], literals) == parse_file(paths[target]), kind
+    assert all(seen.values()), seen
+    assert len(kinds) == 9, kinds
+
+
+def test_run_parses_the_shared_head_once(monkeypatch, tmp_path):
+    """TRIPLE_19's 361 files go through the reader with one `qdimacs.parse`,
+    and `run` gives each index the code of `parse_file` and `evaluate`."""
+    formula = tmp_path / "t.qdimacs"
+    formula.write_text(write(TRIPLE_19))
+    out = tmp_path / "out"
+    assert cli.main(["split", str(formula), "--depth", "10", "--out", str(out)]) == 0
+    entries = read_manifest(out / "plan.csv").entries
+    paths = subproblem_files(out, len(entries))
+    assert len(paths) == 361
+
+    parse_calls = []
+    original = qdimacs.parse
+
+    def counted(*args, **kwargs):
+        parse_calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qdimacs, "parse", counted)
+    read = splitter._subproblem_reader(paths[0], entries[0].literals)
+    formulas = {entry.index: read(paths[entry.index], entry.literals) for entry in entries}
+    assert len(parse_calls) == 1
+    monkeypatch.undo()
+
+    assert cli.main(["run", str(out), "--jobs", "2"]) == 0
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    codes = {int(row.split(",")[0]): row.split(",")[1] for row in rows}
+    expected = {index: "TRUE" if evaluate(parse_file(path)) else "FALSE" for index, path in paths.items()}
+    assert codes == expected
+    assert all(formulas[index] == parse_file(path) for index, path in paths.items())
 
 
 def test_manifest_roundtrip_and_verification(tmp_path):
