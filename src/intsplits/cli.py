@@ -32,7 +32,7 @@ from subprocess import DEVNULL
 from typing import Callable, Iterator, Sequence
 
 from . import qdimacs
-from .errors import BudgetExceededError, DuplicateResultError, IntsplitsError, UnparsableRowError
+from .errors import BudgetExceededError, IntsplitsError
 from .evaluator import EvalBudget, check_correctness, evaluate, evaluate_with_intsplits
 from .formula import Formula
 from .merger import (
@@ -44,10 +44,11 @@ from .merger import (
     format_indices,
     ingest,
     merge,
-    parse_result_row,
     render_certificate,
     result_row,
-    speedup_report,
+    _by_index,
+    _rows_from_csv,
+    _summary,
 )
 from .splitter import (
     MANIFEST_NAME,
@@ -334,30 +335,6 @@ def _stop_signals() -> Iterator[None]:
             signal.signal(signum, handler)
 
 
-def _existing_results(path: Path) -> tuple[dict[int, ResultTuple], bool]:
-    """Rows of an earlier run that parse, by index, and whether the file
-    exists and can be appended to as it is.  A row a kill cut short or one
-    with bytes that are not UTF-8 does not parse, so its task runs again;
-    two rows for one index are an error, as in `merge`."""
-    done: dict[int, ResultTuple] = {}
-    intact, last = True, ""
-    if path.exists():
-        with path.open(errors="replace") as handle:
-            for line_no, last in enumerate(handle, start=1):
-                where = f"{path}: line {line_no}"
-                try:
-                    row = parse_result_row(last, where)
-                except UnparsableRowError:
-                    intact = False
-                    continue
-                if row is None:
-                    continue
-                if row[0] in done:
-                    raise DuplicateResultError(f"{where}: duplicate result for index {row[0]}")
-                done[row[0]] = row[1]
-    return done, intact and last.endswith("\n")
-
-
 def _manifest(directory: Path) -> Manifest:
     try:
         return read_manifest(directory / MANIFEST_NAME)
@@ -381,12 +358,11 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"files for indices: {format_indices(unlisted)}; split into an empty directory"
         )
     results_path = directory / RESULTS_NAME
-    done, intact = _existing_results(results_path)
-    outside = [index for index in done if not 0 <= index < total]
-    if outside:
-        raise UnparsableRowError(
-            f"{results_path}: index {outside[0]} outside the plan (0..{total - 1})"
-        )
+    # The rows of an earlier run, by index.  A row that a kill cut short, or
+    # one with bytes that are not UTF-8, goes to `torn`, and its task runs again.
+    torn: list[str] = []
+    exists = results_path.exists()
+    done = _by_index(_rows_from_csv(results_path, torn), total) if exists else {}
     pending = [index for index in range(total) if index not in done]
     missing = [index for index in pending if index not in files]
     if missing:
@@ -396,7 +372,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if done:
         _say(f"resuming: {len(done)} results present, {len(pending)} tasks left")
 
-    if not intact:
+    if torn or not exists:
         # Write the header and the kept rows beside the file and swap it in,
         # so no kill can lose a finished result.
         scratch = results_path.with_name(RESULTS_NAME + ".tmp")
@@ -407,7 +383,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         os.replace(scratch, results_path)
     read = None
     if pending and not args.solver:  # parse the split's shared head once, before the fork
-        read = _subproblem_reader(files[pending[0]], entries[pending[0]].literals)
+        read = _subproblem_reader([(files[index], entries[index].literals) for index in pending])
 
     def solve(index: int) -> ResultTuple:
         return _solve(files[index], entries[index].literals, read, args.solver, args.timeout)
@@ -433,7 +409,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
     source = Path(args.results) if args.results else directory / RESULTS_NAME
     table = ingest(source, split_plan)
     final, report = merge(table, args.time_model)
-    summary = speedup_report(table, args.sequential_time, args.time_model)
+    summary = _summary(table, final, args.sequential_time)
 
     (directory / "certificate.txt").write_text(render_certificate(report))
     (directory / "merge_report.txt").write_text(format_flat_report(summary))

@@ -104,9 +104,14 @@ def _steps(formula: Formula, use_intsplits: bool) -> tuple[list[_Step], dict[int
     ]
     annotated = {v for aq in annotations for v in aq.bitvector.variables}
     # Annotations claim prefix variables from the front, so every leftover
-    # variable commutes behind them (same block or later blocks).
-    variables = [v for v in formula.prefix_variables() if v not in annotated]
-    plain = {v: formula.kind_of(v) is QuantifierKind.EXISTS for v in variables}
+    # variable commutes behind them (same block or later blocks).  Without
+    # a prefix every variable is existential, and one that is not in the
+    # matrix would be passed over, so only the matrix's variables get steps.
+    if formula.prefix:
+        variables = formula.prefix_variables()
+    else:
+        variables = sorted({abs(lit) for clause in formula.matrix.clauses for lit in clause})
+    plain = {v: formula.kind_of(v) is QuantifierKind.EXISTS for v in variables if v not in annotated}
     steps += [(formula.kind_of(v), range(2), _Literals((v,))) for v in plain]
     return steps, plain
 

@@ -5,8 +5,10 @@ bit-vector carries the highest place value, so (t1, ..., tn) denotes the
 integer 2^(n-1)*t1 + ... + 2^0*tn.  Efficiency ratios are exact fractions;
 no floating point enters the model anywhere.
 
-All types are immutable after construction and all operations are pure
-functions, so values can be shared between threads without synchronization.
+The model's types are immutable after construction and its functions are
+pure, so values can be shared between threads without synchronization.
+`AnnotationCursor` is the exception: a checker that records what it has
+placed so far, for one caller at a time.
 """
 
 from __future__ import annotations
@@ -437,11 +439,12 @@ class Formula:
     def _block_of(self) -> dict[int, int]:
         return {v: i for i, block in enumerate(self.prefix) for v in block.variables}
 
-    def prefix_variables(self) -> tuple[int, ...]:
-        """Quantified variables in prefix order; 1..n for prefix-free files."""
+    def prefix_variables(self) -> Sequence[int]:
+        """Quantified variables in prefix order; range(1, n + 1) for prefix-free
+        files, which costs nothing however large the declared count n."""
         if self.prefix:
             return tuple(v for block in self.prefix for v in block.variables)
-        return tuple(range(1, self.matrix.variable_count + 1))
+        return range(1, self.matrix.variable_count + 1)
 
     def kind_of(self, variable: int) -> QuantifierKind:
         if not self.prefix:

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateResultError,
@@ -135,14 +135,27 @@ def parse_result_row(line: str, where: str) -> tuple[int, ResultTuple] | None:
     return index, ResultTuple(code, seconds)
 
 
-def _rows_from_csv(path: Path) -> Iterator[tuple[str, int, ResultTuple]]:
+def _rows_from_csv(path: Path, torn: list[str] | None = None) -> Iterator[tuple[str, int, ResultTuple]]:
+    """A results CSV's rows in file order, each with its `path: line N`.
+    A row that does not parse is an error; with `torn`, as `run` asks, it is
+    skipped and its place appended there, as is a last line without a line
+    break, which an appended row would extend."""
     # A byte that is not UTF-8 becomes U+FFFD and fails the row's parse.
+    last = ""
     with path.open(errors="replace") as handle:
-        for line_no, raw in enumerate(handle, start=1):
+        for line_no, last in enumerate(handle, start=1):
             where = f"{path}: line {line_no}"
-            row = parse_result_row(raw, where)
+            try:
+                row = parse_result_row(last, where)
+            except UnparsableRowError:
+                if torn is None:
+                    raise
+                torn.append(where)
+                continue
             if row is not None:
                 yield where, *row
+    if torn is not None and not last.endswith("\n"):
+        torn.append(f"{path}: end")
 
 
 def _parse_token_at(token: str, where: str) -> ResultCode:
@@ -187,11 +200,9 @@ def format_indices(indices: Sequence[int]) -> str:
     return ", ".join(map(str, indices[:20])) + more
 
 
-def ingest(source: str | Path, plan: SplitPlan) -> ResultTable:
-    """Read results from a CSV file or a directory of per-task logs."""
-    source = Path(source)
-    total = count_subproblems(plan)
-    rows = _rows_from_logs(source, total) if source.is_dir() else _rows_from_csv(source)
+def _by_index(rows: Iterable[tuple[str, int, ResultTuple]], total: int) -> dict[int, ResultTuple]:
+    """The rows' results by index, in row order.  The first row whose index
+    is outside 0..total-1 or was given before is an error that names it."""
     seen: dict[int, ResultTuple] = {}
     for where, index, result in rows:
         if not 0 <= index < total:
@@ -199,33 +210,43 @@ def ingest(source: str | Path, plan: SplitPlan) -> ResultTable:
         if index in seen:
             raise DuplicateResultError(f"{where}: duplicate result for index {index}")
         seen[index] = result
+    return seen
+
+
+def ingest(source: str | Path, plan: SplitPlan) -> ResultTable:
+    """Read results from a CSV file or a directory of per-task logs."""
+    source = Path(source)
+    total = count_subproblems(plan)
+    rows = _rows_from_logs(source, total) if source.is_dir() else _rows_from_csv(source)
+    seen = _by_index(rows, total)
     missing = [i for i in range(total) if i not in seen]
     if missing:
         raise MissingResultError(f"missing results for indices: {format_indices(missing)}")
     return ResultTable(plan, tuple(seen[i] for i in range(total)))
 
 
+# Each quantifier kind's rule: its code goes to the max or the min, this
+# code decides a group, and the paper's time model takes the min or the max
+# time.  The refined model takes the earliest deciding child's time, or
+# else the slowest child's: a parallel machine can stop at the first
+# deciding branch, and any other outcome needs every branch to finish.
+_RULES = {
+    QuantifierKind.EXISTS: (max, ResultCode.TRUE, min),
+    QuantifierKind.FORALL: (min, ResultCode.FALSE, max),
+}
+
+
 def _reduce_group(
     group: Sequence[ResultTuple], kind: QuantifierKind, time_model: str
 ) -> ResultTuple:
-    codes = [t.code for t in group]
-    times = [t.time for t in group]
-    if kind is QuantifierKind.EXISTS:
-        code = max(codes)
-        if time_model == "paper":
-            seconds = min(times)
-        else:
-            # A parallel machine can stop at the earliest true branch; any
-            # other outcome needs every branch to finish.
-            winners = [t.time for t in group if t.code is ResultCode.TRUE]
-            seconds = min(winners) if code is ResultCode.TRUE else max(times)
+    pick, decides, paper_time = _RULES[kind]
+    code = pick(t.code for t in group)
+    if time_model == "paper":
+        seconds = paper_time(t.time for t in group)
+    elif code is decides:
+        seconds = min(t.time for t in group if t.code is code)
     else:
-        code = min(codes)
-        if time_model == "paper":
-            seconds = max(times)
-        else:
-            winners = [t.time for t in group if t.code is ResultCode.FALSE]
-            seconds = min(winners) if code is ResultCode.FALSE else max(times)
+        seconds = max(t.time for t in group)
     return ResultTuple(code, seconds)
 
 
@@ -295,7 +316,11 @@ def speedup_report(
     The speed-up entry is present only when a sequential reference time is
     given.
     """
-    final, _ = merge(table, time_model)
+    return _summary(table, merge(table, time_model)[0], sequential_time)
+
+
+def _summary(table: ResultTable, final: ResultTuple, sequential_time: float | None) -> dict[str, object]:
+    """speedup_report of a table whose fold gave `final`."""
     with_count = count_subproblems(table.plan)
     without_count = count_without_intsplits(table.plan)
     report: dict[str, object] = {
@@ -327,13 +352,11 @@ def render_certificate(report: MergeReport) -> str:
     for level, tuples in enumerate(report.levels):
         if level < len(report.reductions):
             kind, size = report.reductions[level]
-            if report.time_model == "paper":
-                rule = "max result, min time" if kind is QuantifierKind.EXISTS else "min result, max time"
-            else:
-                rule = "max result, conditional time" if kind is QuantifierKind.EXISTS else "min result, conditional time"
+            pick, _, paper_time = _RULES[kind]
+            time = f"{paper_time.__name__} time" if report.time_model == "paper" else "conditional time"
             lines.append(
                 f"level {level}: {len(tuples)} tuples, reduced {kind.name} "
-                f"in groups of {size} ({rule})"
+                f"in groups of {size} ({pick.__name__} result, {time})"
             )
             for at in range(0, len(tuples), size):
                 group = " ".join(_format_tuple(t) for t in tuples[at : at + size])

@@ -332,26 +332,35 @@ def split_formula(
     return paths
 
 
-def _subproblem_reader(first: Path, literals: Sequence[int]) -> Callable[[Path, Sequence[int]], Formula]:
+def _subproblem_reader(
+    tasks: Sequence[tuple[Path, Sequence[int]]],
+) -> Callable[[Path, Sequence[int]], Formula]:
     """A reader of a split's sub-problem files, each given with the literals
     that plan.csv lists for it, that returns what `qdimacs.parse_file` does
     but parses the split's shared head only once, here.
 
-    The head is the text of `first`, the file of assignment `literals`,
-    before its unit lines; it must end at a line break, or its last line
-    and the first unit line would read as one clause.  A file that is the
-    head plus the unit lines of as many literals of its own is the head's
-    formula plus those unit clauses, which the constructors validate.  Any
-    other file, or one they refuse, is parsed in full; so is every file when
-    `first` is not its head plus its unit lines or does not parse.
+    The head is the text before the unit lines of their literals that the
+    files of the first two consecutive `tasks` share byte for byte, or that
+    of the file of the only task; it must end at a line break, or its last
+    line and the first unit line would read as one clause.  A file that is
+    the head plus the unit lines of as many literals of its own is the
+    head's formula plus those unit clauses, which the constructors validate.
+    Any other file, or one they refuse, is parsed in full; so is every file
+    when no head is found, the head does not parse, or a file read in the
+    search for it cannot be read.
     """
-    units = b"".join(map(_unit_line, literals))
-    whole = None
+    whole, previous = None, None
     with suppress(OSError, IntsplitsError):
-        text = first.read_bytes()
-        head = text[: len(text) - len(units)]
-        if text.endswith(units) and head.endswith(b"\n"):
-            whole = qdimacs.parse(text)
+        for path, literals in tasks:
+            text = path.read_bytes()
+            units = b"".join(map(_unit_line, literals))
+            head = text[: len(text) - len(units)]
+            if not (text.endswith(units) and head.endswith(b"\n")):
+                head = None
+            elif head == previous or len(tasks) == 1:
+                whole = qdimacs.parse(text)
+                break
+            previous = head
     if whole is None:
         return lambda path, literals: qdimacs.parse_file(path)
     count = len(literals)

@@ -6,6 +6,7 @@ import contextlib
 import multiprocessing
 import os
 import random
+import resource
 import signal
 import subprocess
 import sys
@@ -710,6 +711,114 @@ def test_run_refuses_result_rows_outside_the_plan(rows, index, fig1, tmp_path, c
     assert run_cli("run", out) == 1
     assert f"index {index} outside the plan (0..8)" in capsys.readouterr().err
     assert results.read_bytes() == before
+
+
+HEADER = b"index,result,time_seconds\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        HEADER + b"0,TRUE,0.5\n1,FALSE,0.25\n2,TR",
+        HEADER + b"0,TRUE,0.5\n1,TR\xffUE,0.5\n2,FALSE,1.5\n",
+        HEADER + b"\n# kept by hand\n   \n0,TRUE,0.5\nindex,result,time_seconds\n3,UNSAT,2\n",
+        HEADER + b"0,TRUE,0.5\n4,FALSE,0.75",
+        b"",
+    ],
+    ids=["torn-last-row", "non-utf8-row", "header-blank-comment", "no-final-newline", "empty"],
+)
+def test_run_keeps_exactly_the_result_rows_merge_reads(text, fig1, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("split", fig1, "--depth", 4, "--out", out) == 0
+    (out / "results.csv").write_bytes(text)
+    readable = {}
+    for line_no, line in enumerate(text.decode(errors="replace").splitlines(keepends=True), start=1):
+        with contextlib.suppress(intsplits.UnparsableRowError):
+            if row := intsplits.merger.parse_result_row(line, f"line {line_no}"):
+                readable[row[0]] = row[1]
+    capsys.readouterr()
+    assert run_cli("run", out) == 0
+    assert f"ran {9 - len(readable)} tasks" in capsys.readouterr().err
+    assert (out / "results.csv").read_text().splitlines()[0] == "index,result,time_seconds"
+    table = intsplits.ingest(out / "results.csv", intsplits.plan(intsplits.parse_file(fig1), 4))
+    assert {index: table.tuples[index] for index in readable} == readable
+    assert run_cli("merge", fig1, out) == 0
+
+
+@pytest.mark.parametrize(
+    "rows, line, message",
+    [
+        ("0,TRUE,1\n# note\n0,FALSE,1\n", 4, "duplicate result for index 0"),
+        ("0,TRUE,1\n9,TRUE,1\n", 3, "index 9 outside the plan (0..8)"),
+        ("0,TRUE,1\n0,TRUE,1\n-1,TRUE,1\n", 3, "duplicate result for index 0"),
+        ("0,TRUE,1\n-1,TRUE,1\n0,TRUE,1\n1,TR", 3, "index -1 outside the plan (0..8)"),
+    ],
+    ids=["duplicate", "outside", "duplicate-then-outside", "outside-then-duplicate"],
+)
+def test_run_and_merge_refuse_the_same_result_row(rows, line, message, fig1, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("split", fig1, "--depth", 4, "--out", out) == 0
+    results = out / "results.csv"
+    results.write_text("index,result,time_seconds\n" + rows)
+    before = results.read_bytes()
+    capsys.readouterr()
+    assert run_cli("merge", fig1, out) == 1
+    refused = capsys.readouterr().err
+    assert refused == f"error: {results}: line {line}: {message}\n"
+    assert run_cli("run", out) == 1
+    assert capsys.readouterr().err == refused
+    assert results.read_bytes() == before
+
+
+@pytest.mark.parametrize("depth, levels", [(2, 1), (4, 2)])
+def test_merge_folds_each_level_once(depth, levels, fig1, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    assert run_cli("split", fig1, "--depth", depth, "--out", out) == 0
+    assert run_cli("run", out) == 0
+    calls = []
+    original = intsplits.merger.reduce_level
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(intsplits.merger, "reduce_level", counted)
+    assert run_cli("merge", fig1, out, "--sequential-time", 1) == 0
+    assert len(calls) == levels
+    assert "speedup=" in (out / "merge_report.txt").read_text()
+
+
+def _address_space_of_1_gib() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_a_prefix_free_files_declared_count_costs_nothing(tmp_path):
+    # 2^31 - 1 declared variables, three used: each command runs under a
+    # 1 GiB address-space cap, which a per-variable table would exceed.
+    (tmp_path / "f.cnf").write_text("cs int [1 2] <3\np cnf 2147483647 2\n1 2 0\n-1 3 0\n")
+    (tmp_path / "g.cnf").write_text("p cnf 2147483647 2\n-1 2 0\n1 -3 0\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(intsplits.__file__).parents[1])}
+
+    def intsplits_cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "intsplits.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=_address_space_of_1_gib,
+        )
+
+    for command in ("eval", "check"):
+        done = intsplits_cli(command, "f.cnf")
+        assert (done.returncode, done.stderr) == (2, "budget exceeded: 2147483647 quantified variables exceed the budget of 25\n")
+    assert intsplits_cli("stats", "g.cnf", "--depth", "3", "--no-intsplits").returncode == 0
+    for formula, options, tasks in (("f.cnf", ["--depth", "2"], 3), ("g.cnf", ["--depth", "3", "--no-intsplits"], 8)):
+        out = formula + ".split"
+        assert intsplits_cli("split", formula, *options, "--out", out).returncode == 0
+        done = intsplits_cli("run", out, "--jobs", "2", "--timeout", "30")
+        assert done.returncode == 0, done.stderr
+        assert sorted(_rows(tmp_path / out)) == list(range(tasks))
+        done = intsplits_cli("merge", formula, out)
+        assert done.returncode == 0, done.stderr
+        assert "final_result=TRUE" in done.stdout
 
 
 def _rows(out: Path) -> dict[int, str]:

@@ -47,3 +47,21 @@ def test_modules_import_only_the_standard_library_and_intsplits():
                 if name.split(".")[0] not in sys.stdlib_module_names | {"intsplits"}
             ]
             assert not foreign, f"{path.name}:{node.lineno} imports {foreign}"
+
+
+def test_modules_use_every_name_they_import():
+    # __init__.py imports to re-export; every other module imports what it uses.
+    package = Path(intsplits.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.asname or alias.name.split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+        assert not unused, f"{path.name} imports {unused} but does not use them"

@@ -403,7 +403,8 @@ def test_shared_head_reader_gives_what_parse_file_gives(tmp_path):
         paths = split_formula(formula, chosen, out, "f.cnf")
         entries = read_manifest(out / "plan.csv").entries
         first = rng.randrange(len(paths)) if at % 2 else 0
-        read = splitter._subproblem_reader(paths[first], entries[first].literals)
+        # The head comes from files `first` and `first + 1`, or from `first` alone if it is the last.
+        read = splitter._subproblem_reader([(paths[e.index], e.literals) for e in entries[first:]])
         for path, entry in zip(paths, entries):
             assert read(path, entry.literals) == parse_file(path)
 
@@ -427,7 +428,7 @@ def test_shared_head_reader_gives_what_parse_file_gives(tmp_path):
                 expected = _outcome(lambda: parse_file(other))
                 assert _outcome(lambda: read(other, plan_literals)) == expected, kind
                 # The same edit in the file the head is taken from.
-                reread = splitter._subproblem_reader(other, plan_literals)
+                reread = splitter._subproblem_reader([(other, plan_literals)])
                 assert _outcome(lambda: reread(other, plan_literals)) == expected, kind
                 assert reread(paths[target], literals) == parse_file(paths[target]), kind
     assert all(seen.values()), seen
@@ -453,7 +454,7 @@ def test_run_parses_the_shared_head_once(monkeypatch, tmp_path):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(qdimacs, "parse", counted)
-    read = splitter._subproblem_reader(paths[0], entries[0].literals)
+    read = splitter._subproblem_reader([(paths[e.index], e.literals) for e in entries])
     formulas = {entry.index: read(paths[entry.index], entry.literals) for entry in entries}
     assert len(parse_calls) == 1
     monkeypatch.undo()
@@ -464,6 +465,38 @@ def test_run_parses_the_shared_head_once(monkeypatch, tmp_path):
     expected = {index: "TRUE" if evaluate(parse_file(path)) else "FALSE" for index, path in paths.items()}
     assert codes == expected
     assert all(formulas[index] == parse_file(path) for index, path in paths.items())
+
+
+def test_an_edited_first_file_keeps_the_shared_head(monkeypatch, tmp_path):
+    """With file 0000 edited, the head comes from files 0001 and 0002: one
+    parse for it and one for the edited file, and `run` gives each index
+    the code of `parse_file` and `evaluate`."""
+    formula = tmp_path / "t.qdimacs"
+    formula.write_text(write(TRIPLE_19))
+    out = tmp_path / "out"
+    assert cli.main(["split", str(formula), "--depth", "10", "--out", str(out)]) == 0
+    entries = read_manifest(out / "plan.csv").entries
+    paths = subproblem_files(out, len(entries))
+    paths[0].write_bytes(b"c edited\n" + paths[0].read_bytes())
+
+    parse_calls = []
+    original = qdimacs.parse
+
+    def counted(*args, **kwargs):
+        parse_calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qdimacs, "parse", counted)
+    read = splitter._subproblem_reader([(paths[e.index], e.literals) for e in entries])
+    formulas = {entry.index: read(paths[entry.index], entry.literals) for entry in entries}
+    assert len(parse_calls) == 2
+    monkeypatch.undo()
+
+    assert all(formulas[index] == parse_file(path) for index, path in paths.items())
+    assert cli.main(["run", str(out), "--jobs", "2"]) == 0
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    codes = {int(row.split(",")[0]): row.split(",")[1] for row in rows}
+    assert codes == {index: "TRUE" if evaluate(formulas[index]) else "FALSE" for index in paths}
 
 
 def test_manifest_roundtrip_and_verification(tmp_path):
