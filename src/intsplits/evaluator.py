@@ -20,7 +20,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Collection
 
 from .errors import BudgetExceededError, FormulaError
 from .formula import (
@@ -90,40 +89,35 @@ class _Literals(dict):
         return literals
 
 
-# One quantification step: kind, the integer values to branch on and their
-# literals.  Plain Boolean variables are width-1 steps over range(2), which
-# coincides with the bit-by-bit semantics.
-_Step = tuple[QuantifierKind, Collection[int], _Literals]
-
-
-def _steps(formula: Formula, use_intsplits: bool) -> tuple[list[_Step], dict[int, bool]]:
-    """The quantification steps, and each plain variable's kind (True: exists)."""
-    annotations = formula.annotations if use_intsplits else ()
-    steps = [
-        (aq.kind, accounted_values(aq), _Literals(aq.bitvector.variables)) for aq in annotations
-    ]
-    annotated = {v for aq in annotations for v in aq.bitvector.variables}
-    # Annotations claim prefix variables from the front, so every leftover
-    # variable commutes behind them (same block or later blocks).  Without
-    # a prefix every variable is existential, and one that is not in the
-    # matrix would be passed over, so only the matrix's variables get steps.
-    if formula.prefix:
-        variables = formula.prefix_variables()
-    else:
-        variables = sorted({abs(lit) for clause in formula.matrix.clauses for lit in clause})
-    plain = {v: formula.kind_of(v) is QuantifierKind.EXISTS for v in variables if v not in annotated}
-    steps += [(formula.kind_of(v), range(2), _Literals((v,))) for v in plain]
-    return steps, plain
-
-
 def _search(formula: Formula, budget: EvalBudget, use_intsplits: bool) -> bool:
-    count = len(formula.prefix_variables())
+    annotations = formula.annotations if use_intsplits else ()
+    annotated = {v for aq in annotations for v in aq.bitvector.variables}
+    # Each plain variable's kind, in prefix order.  Annotations claim prefix
+    # variables from the front, so every plain variable commutes behind them
+    # (same block or later blocks).  Without a prefix every variable is
+    # existential, and one that is not in the matrix would be passed over,
+    # so only the matrix's variables are plain.
+    if formula.prefix:
+        plain = {
+            v: block.kind for block in formula.prefix for v in block.variables if v not in annotated
+        }
+    else:
+        used = {abs(lit) for clause in formula.matrix.clauses for lit in clause} - annotated
+        plain = dict.fromkeys(sorted(used), QuantifierKind.EXISTS)
+    count = len(annotated) + len(plain)
     if budget.max_variables is not None and count > budget.max_variables:
         raise BudgetExceededError(
             f"{count} quantified variables exceed the budget of {budget.max_variables}"
         )
-    steps, plain = _steps(formula, use_intsplits)
-    first_plain = len(steps) - len(plain)
+    # One step per annotated vector, then one per plain variable: its kind,
+    # the integer values to branch on and their literals.  A plain variable
+    # is a width-1 step over range(2), which coincides with the bit-by-bit
+    # semantics.
+    steps = [
+        (aq.kind, accounted_values(aq), _Literals(aq.bitvector.variables)) for aq in annotations
+    ]
+    steps += [(kind, range(2), _Literals((v,))) for v, kind in plain.items()]
+    first_plain = len(annotations)
     deadline = budget.deadline
     nodes = 0
 
@@ -147,10 +141,10 @@ def _search(formula: Formula, budget: EvalBudget, use_intsplits: bool) -> bool:
             units = {c[0] for c in clauses if len(c) == 1}
             forced = []
             for lit in units:
-                exists = plain.get(abs(lit))
-                if exists is False or -lit in units:
+                kind = plain.get(abs(lit))
+                if kind is QuantifierKind.FORALL or -lit in units:
                     return False
-                if exists:
+                if kind is QuantifierKind.EXISTS:
                     forced.append(lit)
             if not forced:
                 break

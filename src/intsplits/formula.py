@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -435,18 +434,9 @@ class Formula:
                         raise FormulaError(f"variable {v} occurs in two different bit-vectors")
                     claimed.add(v)
 
-    @cached_property
-    def _block_of(self) -> dict[int, int]:
-        return {v: i for i, block in enumerate(self.prefix) for v in block.variables}
-
     def prefix_variables(self) -> Sequence[int]:
         """Quantified variables in prefix order; range(1, n + 1) for prefix-free
         files, which costs nothing however large the declared count n."""
         if self.prefix:
             return tuple(v for block in self.prefix for v in block.variables)
         return range(1, self.matrix.variable_count + 1)
-
-    def kind_of(self, variable: int) -> QuantifierKind:
-        if not self.prefix:
-            return QuantifierKind.EXISTS
-        return self.prefix[self._block_of[variable]].kind

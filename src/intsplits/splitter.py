@@ -132,8 +132,10 @@ def plan(formula: Formula, depth: int, mode: SplitMode = SplitMode.INTSPLIT) -> 
     plain_depth = min(depth, len(prefix_vars))
 
     if mode is SplitMode.PLAIN:
+        # Kinds in prefix order; a prefix-free file's variables are existential.
+        kinds = (block.kind for block in formula.prefix for _ in block.variables)
         chosen = tuple(
-            AnnotatedQuantifier(formula.kind_of(v), BitVectorVar((v,)), (Top(),))
+            AnnotatedQuantifier(next(kinds, QuantifierKind.EXISTS), BitVectorVar((v,)), (Top(),))
             for v in prefix_vars[:plain_depth]
         )
         return SplitPlan(mode, chosen, depth, plain_depth, plain_depth)

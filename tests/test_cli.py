@@ -806,9 +806,9 @@ def test_a_prefix_free_files_declared_count_costs_nothing(tmp_path):
             preexec_fn=_address_space_of_1_gib,
         )
 
-    for command in ("eval", "check"):
+    for command, verdict in (("eval", "TRUE\n"), ("check", "CORRECT\n")):
         done = intsplits_cli(command, "f.cnf")
-        assert (done.returncode, done.stderr) == (2, "budget exceeded: 2147483647 quantified variables exceed the budget of 25\n")
+        assert (done.returncode, done.stdout, done.stderr) == (0, verdict, "")
     assert intsplits_cli("stats", "g.cnf", "--depth", "3", "--no-intsplits").returncode == 0
     for formula, options, tasks in (("f.cnf", ["--depth", "2"], 3), ("g.cnf", ["--depth", "3", "--no-intsplits"], 8)):
         out = formula + ".split"
@@ -819,6 +819,23 @@ def test_a_prefix_free_files_declared_count_costs_nothing(tmp_path):
         done = intsplits_cli("merge", formula, out)
         assert done.returncode == 0, done.stderr
         assert "final_result=TRUE" in done.stdout
+
+
+def test_the_budget_refuses_a_wide_prefix_before_it_builds_a_step(tmp_path):
+    # The count is checked before any per-variable table is built, so the
+    # refusal stays quick and small under a 1 GiB address-space cap.
+    variables = " ".join(map(str, range(1, 100_001)))
+    (tmp_path / "wide.qdimacs").write_text(f"p cnf 100000 1\ne {variables} 0\n1 0\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(intsplits.__file__).parents[1])}
+    start = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "intsplits.cli", "eval", "wide.qdimacs"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=_address_space_of_1_gib,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "budget exceeded: 100000 quantified variables exceed the budget of 25\n"
+    assert time.monotonic() - start < 10
 
 
 def _rows(out: Path) -> dict[int, str]:

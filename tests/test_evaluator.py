@@ -263,3 +263,51 @@ def test_budget_limits():
     long = parse(quantified_chain(1000))
     with pytest.raises(BudgetExceededError, match="2000 quantification steps exceed the recursion limit"):
         evaluate(long, EvalBudget(max_variables=None))
+
+
+def _numbered_from_one(formula: Formula, variables: list[int]) -> Formula:
+    """The prefix-free formula with `variables` renumbered 1..n in order and
+    nothing else declared."""
+    number = {v: i for i, v in enumerate(variables, 1)}
+    clauses = [tuple(number[abs(lit)] * (1 if lit > 0 else -1) for lit in c) for c in formula.matrix.clauses]
+    annotations = tuple(
+        AnnotatedQuantifier(E, BitVectorVar(tuple(number[v] for v in aq.bitvector.variables)), aq.constraints)
+        for aq in formula.annotations
+    )
+    return Formula(matrix_of(clauses, len(variables)), (), annotations)
+
+
+def test_a_prefix_free_budget_counts_the_variables_the_oracle_branches_on():
+    # Up to 10 variables in the clauses and annotations, up to three times as
+    # many declared.  The references branch on every declared variable; an
+    # unused existential one cannot change the value, so they run on the
+    # same formula with the used variables numbered 1..n.
+    rng = random.Random(20261020)
+    annotated_draws = 0
+    for _ in range(300):
+        used = rng.randint(1, 10)
+        declared = rng.randint(used, 3 * used)
+        variables = sorted(rng.sample(range(1, declared + 1), used))
+        annotations = []
+        if rng.random() < 0.5:
+            free = rng.sample(variables, rng.randint(1, min(used, 6)))
+            while free:
+                width = rng.randint(1, min(3, len(free)))
+                vector, free = tuple(free[:width]), free[width:]
+                constraints = tuple(random_constraint(rng, width) for _ in range(rng.randint(1, 2)))
+                annotations.append(AnnotatedQuantifier(E, BitVectorVar(vector), constraints))
+        annotated_draws += bool(annotations)
+        clauses = random_clauses(rng, variables, rng.randint(1, 2 * used))
+        formula = Formula(matrix_of(clauses, declared), (), tuple(annotations))
+        in_matrix = {abs(lit) for clause in clauses for lit in clause}
+        in_vectors = {v for aq in annotations for v in aq.bitvector.variables}
+        reference = _numbered_from_one(formula, sorted(in_matrix | in_vectors))
+        for value_of, expected, branched in (
+            (evaluate, reference_value_of_formula(reference), len(in_matrix)),
+            (evaluate_with_intsplits, reference_bounded_value(reference), len(in_matrix | in_vectors)),
+        ):
+            assert value_of(formula) is expected, formula
+            assert value_of(formula, EvalBudget(max_variables=branched)) is expected
+            with pytest.raises(BudgetExceededError, match=f"^{branched} quantified variables"):
+                value_of(formula, EvalBudget(max_variables=branched - 1))
+    assert 0 < annotated_draws < 300

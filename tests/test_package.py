@@ -7,6 +7,7 @@ import importlib
 import pkgutil
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import intsplits
 
@@ -65,3 +66,42 @@ def test_modules_use_every_name_they_import():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
         assert not unused, f"{path.name} imports {unused} but does not use them"
+
+
+def _definitions(tree: ast.Module) -> Iterator[str]:
+    """Names of the module-level functions, classes and assignments, and of
+    the methods."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (method.name for method in node.body if isinstance(method, functions))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+def test_private_names_are_referenced():
+    # Nothing outside the package reaches a private name, so one that no
+    # code of the package reads, calls or imports is dead.
+    package = Path(intsplits.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    private = [
+        (module, name)
+        for module, tree in trees.items()
+        for name in _definitions(tree)
+        if name.startswith("_") and not name.startswith("__")
+    ]
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    assert len(private) > 50
+    unreferenced = [f"{module}: {name}" for module, name in private if name not in referenced]
+    assert not unreferenced, f"private names that nothing refers to: {unreferenced}"
