@@ -6,10 +6,10 @@ artifact was produced; budget overruns exit with 2 to stay distinguishable
 from parse and validation failures (exit 1).
 
 `run` solves each sub-problem in a worker process forked from it.  With
-the built-in oracle it parses the split's shared head once, before the
-fork; a worker still reads every file, and one that is that head plus the
-unit lines of its plan.csv literals needs no parse (see
-`splitter._subproblem_reader`).
+the built-in oracle it parses the split's shared head and prepares its
+search once, before the fork; a worker still reads every file, and one that
+is that head plus the unit lines of its plan.csv literals costs one run of
+that search (see `splitter._subproblem_reader`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Callable, Iterator, Sequence
 
 from . import qdimacs
 from .errors import BudgetExceededError, IntsplitsError
-from .evaluator import EvalBudget, check_correctness, evaluate, evaluate_with_intsplits
+from .evaluator import check_correctness, evaluate, evaluate_with_intsplits
 from .formula import Formula
 from .merger import (
     RESULTS_HEADER,
@@ -192,22 +192,19 @@ def _exit_code(template: list[str], path: Path, timeout: float) -> int:
 def _solve(
     path: Path,
     literals: tuple[int, ...],
-    read: Callable[[Path, Sequence[int]], Formula] | None,
+    read: Callable[[Path, Sequence[int], float], bool] | None,
     solver: list[str] | None,
     timeout: float,
 ) -> ResultTuple:
-    """Solve one sub-problem with the built-in oracle (`solver` None), on
-    the formula that `read` gives for its file and plan literals, whose only
-    limit is `timeout`; or with an external solver command that exits 10
-    for true and 20 for false.  Anything else is UNKNOWN, timed
-    min(elapsed, timeout)."""
+    """Solve one sub-problem with the built-in oracle (`solver` None): the
+    value that `read` gives for its file and plan literals, whose only limit
+    is `timeout`; or with an external solver command that exits 10 for true
+    and 20 for false.  Anything else is UNKNOWN, timed min(elapsed, timeout)."""
     started = time.monotonic()
     code = ResultCode.UNKNOWN
     try:
         if solver is None:
-            formula = read(path, literals)
-            value = evaluate(formula, EvalBudget(max_variables=None, deadline=started + timeout))
-            code = ResultCode.TRUE if value else ResultCode.FALSE
+            code = ResultCode.TRUE if read(path, literals, started + timeout) else ResultCode.FALSE
         else:
             code = _EXIT_CODES.get(_exit_code(solver, path, timeout), ResultCode.UNKNOWN)
     except (IntsplitsError, OSError, subprocess.TimeoutExpired):
@@ -382,7 +379,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             writer.writerows(result_row(index, result) for index, result in done.items())
         os.replace(scratch, results_path)
     read = None
-    if pending and not args.solver:  # parse the split's shared head once, before the fork
+    if pending and not args.solver:  # parse the shared head and prepare its search once, before the fork
         read = _subproblem_reader([(files[index], entries[index].literals) for index in pending])
 
     def solve(index: int) -> ResultTuple:
@@ -435,16 +432,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     formula = _load(args)
-    value = (
-        evaluate_with_intsplits(formula) if args.intsplits else evaluate(formula)
-    )
+    value = evaluate_with_intsplits(formula) if args.intsplits else evaluate(formula)
     print("TRUE" if value else "FALSE")
     return 0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    verdict = check_correctness(_load(args))
-    print(str(verdict))
+    print(check_correctness(_load(args)))
     return 0
 
 
@@ -558,10 +552,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         _say(f"budget exceeded: {exc}")
         return 2
-    except IntsplitsError as exc:
-        _say(f"error: {exc}")
-        return 1
-    except FileExistsError as exc:
+    except (IntsplitsError, FileExistsError) as exc:
         _say(f"error: {exc}")
         return 1
     except OSError as exc:

@@ -19,10 +19,10 @@ but its unit lines depends only on which variables the plan expands, so a
 split renders it once, for the first assignment, and writes each file as
 that shared head plus the file's own unit lines, and plan.csv in the same
 pass.  `_subproblem_reader` reads the files back the same way: it parses
-the head once, and a file that is the head plus the unit lines of its
-plan.csv literals becomes the head's formula plus those unit clauses
-without a parse.  The file stays the specification: any other file is
-parsed in full.
+the head and prepares its search once, and a file that is the head plus
+the unit lines of its plan.csv literals costs a read, a byte comparison and
+one run of that search on the head's clauses plus those unit clauses.  The
+file stays the specification: any other file is parsed in full.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .formula import (
     accounted_values,
     literals_of,
 )
-from . import qdimacs
+from . import evaluator, qdimacs
 
 __all__ = [
     "SplitMode",
@@ -336,20 +336,21 @@ def split_formula(
 
 def _subproblem_reader(
     tasks: Sequence[tuple[Path, Sequence[int]]],
-) -> Callable[[Path, Sequence[int]], Formula]:
-    """A reader of a split's sub-problem files, each given with the literals
-    that plan.csv lists for it, that returns what `qdimacs.parse_file` does
-    but parses the split's shared head only once, here.
+) -> Callable[[Path, Sequence[int], float | None], bool]:
+    """A reader of a split's sub-problem files, each given with its plan.csv
+    literals and a deadline, that returns what `evaluate` with no variable
+    cap gives for the file's formula, but parses the split's shared head and
+    prepares its search only once, here.
 
     The head is the text before the unit lines of their literals that the
     files of the first two consecutive `tasks` share byte for byte, or that
     of the file of the only task; it must end at a line break, or its last
     line and the first unit line would read as one clause.  A file that is
-    the head plus the unit lines of as many literals of its own is the
-    head's formula plus those unit clauses, which the constructors validate.
-    Any other file, or one they refuse, is parsed in full; so is every file
-    when no head is found, the head does not parse, or a file read in the
-    search for it cannot be read.
+    the head plus the unit lines of as many literals, each on a variable the
+    head's search branches on, is that search over the head's clauses plus
+    those unit clauses.  Any other file is parsed in full and searched on its
+    own; so is every file when no head is found, the head does not parse,
+    or a file read in the search for it cannot be read.
     """
     whole, previous = None, None
     with suppress(OSError, IntsplitsError):
@@ -363,19 +364,24 @@ def _subproblem_reader(
                 whole = qdimacs.parse(text)
                 break
             previous = head
+
+    def parsed(text: bytes, deadline: float | None) -> bool:  # with a search of its own
+        return evaluator.evaluate(qdimacs.parse(text), evaluator.EvalBudget(None, deadline))
+
     if whole is None:
-        return lambda path, literals: qdimacs.parse_file(path)
+        return lambda path, literals, deadline: parsed(path.read_bytes(), deadline)
     count = len(literals)
     clauses = whole.matrix.clauses[: len(whole.matrix.clauses) - count]
+    # The whole file's: without a prefix, split variables may be in unit lines only.
+    kinds, search = evaluator._prepared(whole, evaluator.EvalBudget(None), False)
 
-    def read(path: Path, literals: Sequence[int]) -> Formula:
+    def read(path: Path, literals: Sequence[int], deadline: float | None) -> bool:
         text = path.read_bytes()
         units = b"".join(map(_unit_line, literals))
         if len(literals) == count and text.startswith(head) and text[len(head) :] == units:
-            with suppress(FormulaError):
-                matrix = Matrix(clauses + tuple((lit,) for lit in literals), whole.matrix.variable_count)
-                return Formula(matrix, whole.prefix, whole.annotations)
-        return qdimacs.parse(text)
+            if all(abs(lit) in kinds for lit in literals):  # so in 1..n and in the prefix, if any
+                return search(clauses + tuple([(lit,) for lit in literals]), deadline)
+        return parsed(text, deadline)
 
     return read
 

@@ -16,7 +16,13 @@ from pathlib import Path
 import pytest
 
 import intsplits
-from conftest import correct_pipeline_case, quantified_chain, reference_value_of_formula
+from conftest import (
+    E,
+    correct_pipeline_case,
+    plan_preserves_value,
+    quantified_chain,
+    reference_value_of_formula,
+)
 from intsplits import cli
 from intsplits.cli import main
 
@@ -67,21 +73,45 @@ def test_split_run_merge_pipeline(fig1, tmp_path, capsys):
     assert (out / "merge_report.txt").exists()
 
 
+def _prefix_free_case(rng: random.Random) -> tuple[intsplits.Formula, int]:
+    """A prefix-free formula, with existential annotations, and a depth
+    whose intsplit plan keeps its truth value, as a plain split always does."""
+    for _ in range(50):
+        formula, chosen = correct_pipeline_case(rng, max_vars=10)
+        annotations = tuple(
+            intsplits.AnnotatedQuantifier(E, aq.bitvector, aq.constraints) for aq in formula.annotations
+        )
+        dimacs = intsplits.Formula(formula.matrix, (), annotations)
+        with contextlib.suppress(intsplits.EmptyPlanError):
+            if plan_preserves_value(dimacs, intsplits.plan(dimacs, chosen.requested_depth)):
+                return dimacs, chosen.requested_depth
+    raise AssertionError("could not build a prefix-free pipeline case")
+
+
 @pytest.mark.parametrize("mode", [(), ("--no-intsplits",)], ids=["intsplit", "plain"])
 def test_pipeline_verdict_equals_the_reference_semantics(mode, tmp_path, capsys):
     # The reference in conftest shares no code with the oracle that `run` uses.
     rng = random.Random(20261019)
-    for case in range(12):
-        formula, chosen = correct_pipeline_case(rng, max_vars=10)
+    cases = [correct_pipeline_case(rng, max_vars=10) for _ in range(12)]
+    cases = [(formula, chosen.requested_depth) for formula, chosen in cases]
+    # Prefix-free ones, whose split variables may occur in unit lines only.
+    cases.append((intsplits.parse("cs int [1 2] <3\np cnf 3 1\n3 0\n"), 2))
+    cases += [_prefix_free_case(rng) for _ in range(5)]
+    for case, (formula, depth) in enumerate(cases):
         path = tmp_path / f"case{case}.qdimacs"
         path.write_text(intsplits.write(formula))
         out = tmp_path / f"out{case}"
-        assert run_cli("split", path, "--depth", chosen.requested_depth, "--out", out, *mode) == 0
+        assert run_cli("split", path, "--depth", depth, "--out", out, *mode) == 0
         assert run_cli("run", out, "--jobs", 2) == 0
         capsys.readouterr()
         assert run_cli("merge", path, out) == 0
         expected = "TRUE" if reference_value_of_formula(formula) else "FALSE"
         assert f"final_result={expected}\n" in capsys.readouterr().out
+        files = intsplits.subproblem_files(out, len(_rows(out)))
+        assert {index: row.split(",")[1] for index, row in _rows(out).items()} == {
+            index: "TRUE" if reference_value_of_formula(intsplits.parse_file(file)) else "FALSE"
+            for index, file in files.items()
+        }
 
 
 def test_split_plain_mode(fig1, tmp_path):

@@ -43,7 +43,7 @@ from intsplits import (
     write,
     write_manifest,
 )
-from intsplits import cli, qdimacs, splitter
+from intsplits import cli, evaluator, qdimacs, splitter
 from intsplits.splitter import emit_subproblem, expanded_copy
 
 TRIPLE_19 = parse(
@@ -341,7 +341,7 @@ def test_split_renders_the_formula_once(monkeypatch, tmp_path):
 
 
 def _outcome(read):
-    """What a read gives: the formula, or the class of the error it raises."""
+    """What a read gives: the truth value, or the class of the error it raises."""
     try:
         return read()
     except IntsplitsError as exc:
@@ -376,15 +376,27 @@ def _mutants(rng: random.Random, text: bytes, literals: tuple[int, ...], formula
     if formula.prefix and free:
         unquantified = (*literals[:-1], min(free))
         yield "unquantified", head + _unit_lines(unquantified), unquantified
+    if len(literals) > 1:
+        complementary = (*literals[:-1], -literals[0])
+        yield "complementary units", head + _unit_lines(complementary), complementary
+    universal = [v for block in formula.prefix if block.kind is A for v in block.variables]
+    if universal:
+        forall = (*literals[:-1], rng.choice(universal) * rng.choice([1, -1]))
+        yield "universal unit", head + _unit_lines(forall), forall
     if literals[0] > 0:
         # `-` + `5 0` reads as the clause (-5,): the head must end at a line break.
         yield "glued", head + b"-" + units, literals
 
 
+def _value(path):
+    """What `run` needs of a sub-problem file: `evaluate` of what `parse_file` reads."""
+    return evaluate(parse_file(path))
+
+
 def test_shared_head_reader_gives_what_parse_file_gives(tmp_path):
-    """The reader built from one file of a split gives `parse_file`'s
-    formula, or its error class, for every file of that split and for edits
-    of them, whichever file it takes its head from."""
+    """The reader built from one file of a split gives `evaluate` of
+    `parse_file`'s formula, or its error class, for every file of that split
+    and for edits of them, whichever file it takes its head from."""
     rng = random.Random(20261020)
     cases = [
         (parse("cs int [1 2] <3\np cnf 5 2\na 1 2 0\ne 3 4 0\n1 3 0\n-2 4 0\n"), 2, SplitMode.INTSPLIT),
@@ -406,7 +418,7 @@ def test_shared_head_reader_gives_what_parse_file_gives(tmp_path):
         # The head comes from files `first` and `first + 1`, or from `first` alone if it is the last.
         read = splitter._subproblem_reader([(paths[e.index], e.literals) for e in entries[first:]])
         for path, entry in zip(paths, entries):
-            assert read(path, entry.literals) == parse_file(path)
+            assert read(path, entry.literals, None) == _value(path)
 
         sub = parse_file(paths[first])
         seen["plain"] += mode is SplitMode.PLAIN
@@ -425,78 +437,94 @@ def test_shared_head_reader_gives_what_parse_file_gives(tmp_path):
             for kind, mutant, plan_literals in _mutants(rng, text, literals, parse_file(paths[target])):
                 kinds[kind] = kinds.get(kind, 0) + 1
                 other.write_bytes(mutant)
-                expected = _outcome(lambda: parse_file(other))
-                assert _outcome(lambda: read(other, plan_literals)) == expected, kind
-                # The same edit in the file the head is taken from.
+                expected = _outcome(lambda: _value(other))
+                assert _outcome(lambda: read(other, plan_literals, None)) == expected, kind
+                # The same edit in the file the head is taken from; without a
+                # prefix, its search may not branch on every variable of `target`.
                 reread = splitter._subproblem_reader([(other, plan_literals)])
-                assert _outcome(lambda: reread(other, plan_literals)) == expected, kind
-                assert reread(paths[target], literals) == parse_file(paths[target]), kind
+                assert _outcome(lambda: reread(other, plan_literals, None)) == expected, kind
+                assert reread(paths[target], literals, None) == _value(paths[target]), kind
     assert all(seen.values()), seen
-    assert len(kinds) == 9, kinds
+    assert len(kinds) == 11, kinds
+
+
+def _served(monkeypatch, out):
+    """Serve every task of the split in `out` through one reader; returns
+    the calls to `qdimacs.parse` and to the search preparation it made, and
+    each file's value by index."""
+    entries = read_manifest(out / "plan.csv").entries
+    paths = subproblem_files(out, len(entries))
+    calls = {"parse": 0, "prepare": 0}
+
+    def counted(module, name, key):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(qdimacs, "parse", "parse")
+    counted(evaluator, "_prepared", "prepare")
+    read = splitter._subproblem_reader([(paths[e.index], e.literals) for e in entries])
+    values = {entry.index: read(paths[entry.index], entry.literals, None) for entry in entries}
+    monkeypatch.undo()
+    assert values == {index: _value(path) for index, path in paths.items()}
+    return calls, values
+
+
+def _codes(out) -> dict[int, str]:
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    return {int(row.split(",")[0]): row.split(",")[1] for row in rows}
 
 
 def test_run_parses_the_shared_head_once(monkeypatch, tmp_path):
-    """TRIPLE_19's 361 files go through the reader with one `qdimacs.parse`,
-    and `run` gives each index the code of `parse_file` and `evaluate`."""
+    """TRIPLE_19's 361 files go through the reader with one `qdimacs.parse`
+    and one prepared search, and `run` gives each index the code of
+    `parse_file` and `evaluate`."""
     formula = tmp_path / "t.qdimacs"
     formula.write_text(write(TRIPLE_19))
     out = tmp_path / "out"
     assert cli.main(["split", str(formula), "--depth", "10", "--out", str(out)]) == 0
-    entries = read_manifest(out / "plan.csv").entries
-    paths = subproblem_files(out, len(entries))
-    assert len(paths) == 361
-
-    parse_calls = []
-    original = qdimacs.parse
-
-    def counted(*args, **kwargs):
-        parse_calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(qdimacs, "parse", counted)
-    read = splitter._subproblem_reader([(paths[e.index], e.literals) for e in entries])
-    formulas = {entry.index: read(paths[entry.index], entry.literals) for entry in entries}
-    assert len(parse_calls) == 1
-    monkeypatch.undo()
+    calls, values = _served(monkeypatch, out)
+    assert len(values) == 361
+    assert calls == {"parse": 1, "prepare": 1}
 
     assert cli.main(["run", str(out), "--jobs", "2"]) == 0
-    rows = (out / "results.csv").read_text().splitlines()[1:]
-    codes = {int(row.split(",")[0]): row.split(",")[1] for row in rows}
-    expected = {index: "TRUE" if evaluate(parse_file(path)) else "FALSE" for index, path in paths.items()}
-    assert codes == expected
-    assert all(formulas[index] == parse_file(path) for index, path in paths.items())
+    assert _codes(out) == {index: "TRUE" if value else "FALSE" for index, value in values.items()}
 
 
 def test_an_edited_first_file_keeps_the_shared_head(monkeypatch, tmp_path):
     """With file 0000 edited, the head comes from files 0001 and 0002: one
-    parse for it and one for the edited file, and `run` gives each index
-    the code of `parse_file` and `evaluate`."""
+    parse and one prepared search for it and one of each for the edited
+    file, and `run` gives each index the code of `parse_file` and `evaluate`."""
     formula = tmp_path / "t.qdimacs"
     formula.write_text(write(TRIPLE_19))
     out = tmp_path / "out"
     assert cli.main(["split", str(formula), "--depth", "10", "--out", str(out)]) == 0
-    entries = read_manifest(out / "plan.csv").entries
-    paths = subproblem_files(out, len(entries))
-    paths[0].write_bytes(b"c edited\n" + paths[0].read_bytes())
+    first = subproblem_files(out, 361)[0]
+    first.write_bytes(b"c edited\n" + first.read_bytes())
+    calls, values = _served(monkeypatch, out)
+    assert calls == {"parse": 2, "prepare": 2}
 
-    parse_calls = []
-    original = qdimacs.parse
-
-    def counted(*args, **kwargs):
-        parse_calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(qdimacs, "parse", counted)
-    read = splitter._subproblem_reader([(paths[e.index], e.literals) for e in entries])
-    formulas = {entry.index: read(paths[entry.index], entry.literals) for entry in entries}
-    assert len(parse_calls) == 2
-    monkeypatch.undo()
-
-    assert all(formulas[index] == parse_file(path) for index, path in paths.items())
     assert cli.main(["run", str(out), "--jobs", "2"]) == 0
-    rows = (out / "results.csv").read_text().splitlines()[1:]
-    codes = {int(row.split(",")[0]): row.split(",")[1] for row in rows}
-    assert codes == {index: "TRUE" if evaluate(formulas[index]) else "FALSE" for index in paths}
+    assert _codes(out) == {index: "TRUE" if value else "FALSE" for index, value in values.items()}
+
+
+def test_run_searches_split_variables_that_only_unit_lines_name(monkeypatch, tmp_path):
+    """Without a prefix, a split's variables may occur in its unit lines
+    only: the head of `cs int [1 2] <3 / p cnf 3 1 / 3 0` at depth 2 is
+    `p cnf 3 3 / 3 0`, and its search must still branch on 1 and 2."""
+    formula = tmp_path / "f.cnf"
+    formula.write_text("cs int [1 2] <3\np cnf 3 1\n3 0\n")
+    out = tmp_path / "out"
+    assert cli.main(["split", str(formula), "--depth", "2", "--out", str(out)]) == 0
+    assert subproblem_files(out, 3)[0].read_text() == "p cnf 3 3\n3 0\n-1 0\n-2 0\n"
+    _, values = _served(monkeypatch, out)
+    assert cli.main(["run", str(out)]) == 0
+    assert _codes(out) == {index: "TRUE" if value else "FALSE" for index, value in values.items()}
+    assert set(_codes(out).values()) == {"TRUE"}
 
 
 def test_manifest_roundtrip_and_verification(tmp_path):
