@@ -22,7 +22,9 @@ pass.  `_subproblem_reader` reads the files back the same way: it parses
 the head and prepares its search once, and a file that is the head plus
 the unit lines of its plan.csv literals costs a read, a byte comparison and
 one run of that search on the head's clauses plus those unit clauses.  The
-file stays the specification: any other file is parsed in full.
+file stays the specification: any other file is parsed in full.  The files
+are written and read with raw `os` calls, and `force` writes over an old
+file in place and cuts it to its new length, not truncating it on open.
 """
 
 from __future__ import annotations
@@ -205,15 +207,16 @@ def subproblem_files(directory: str | Path, count: int) -> dict[int, Path]:
     counted; a name with any other original belongs to a second split and
     is an error.
     """
+    pad, base = len(subproblem_name(0, count, "")) - 1, Path(directory)
     by_original: dict[str, dict[int, Path]] = {}
-    with os.scandir(directory) as entries:
+    with os.scandir(base) as entries:
         for entry in entries:
-            index = subproblem_index(entry.name)
-            if index is None or not entry.is_file():
+            digits, dash, original = entry.name.partition("-")
+            # As subproblem_name writes them: `pad` digits, or more and no leading zero.
+            if not (dash and digits.isascii() and digits.isdigit()):
                 continue
-            original = entry.name.split("-", 1)[1]
-            if entry.name == subproblem_name(index, count, original):
-                by_original.setdefault(original, {})[index] = Path(entry.path)
+            if (len(digits) == pad or len(digits) > pad and digits[0] != "0") and entry.is_file():
+                by_original.setdefault(original, {})[int(digits)] = base / entry.name
     if not by_original:
         return {}
     original = min(by_original, key=lambda name: (len(name), name))
@@ -279,8 +282,7 @@ def emit_subproblem(
     path = Path(out_dir) / subproblem_name(expansion.index, count, original_name)
     text = qdimacs.write(expanded_copy(formula, expansion)).encode()
     try:
-        with path.open("wb" if force else "xb") as handle:
-            handle.write(text)
+        _write_file(path, text, force)
     except FileExistsError:
         raise FileExistsError(f"{path} already exists (use force to overwrite)") from None
     return path
@@ -289,6 +291,30 @@ def emit_subproblem(
 def _unit_line(lit: int) -> bytes:
     """The line that a sub-problem file holds for one literal of its assignment."""
     return b"%d 0\n" % lit
+
+
+def _write_file(path: Path, data: bytes, force: bool) -> None:
+    """Make `data` the whole of the file at `path`, refusing an existing file
+    unless `force`.  An existing file is written over in place and then cut
+    to size: on ext4, a file that O_TRUNC empties on open is written back
+    at its close, which made a forced re-split several times slower."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | (0 if force else os.O_EXCL), 0o666)
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
+def _read_file(path: Path) -> bytes:
+    """The bytes of the file at `path`, read with raw `os` calls."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+    finally:
+        os.close(fd)
 
 
 def split_formula(
@@ -323,8 +349,7 @@ def split_formula(
             write_row = _manifest_writer(split_plan, plan_file)
             for expansion in chain((first,), expansions):
                 path = out_dir / names[expansion.index]
-                with path.open("wb" if force else "xb") as handle:
-                    handle.write(head + b"".join([unit_line[lit] for lit in expansion.literals]))
+                _write_file(path, head + b"".join([unit_line[lit] for lit in expansion.literals]), force)
                 write_row(expansion)
                 paths.append(path)
     except BaseException:
@@ -355,7 +380,7 @@ def _subproblem_reader(
     whole, previous = None, None
     with suppress(OSError, IntsplitsError):
         for path, literals in tasks:
-            text = path.read_bytes()
+            text = _read_file(path)
             units = b"".join(map(_unit_line, literals))
             head = text[: len(text) - len(units)]
             if not (text.endswith(units) and head.endswith(b"\n")):
@@ -369,14 +394,14 @@ def _subproblem_reader(
         return evaluator.evaluate(qdimacs.parse(text), evaluator.EvalBudget(None, deadline))
 
     if whole is None:
-        return lambda path, literals, deadline: parsed(path.read_bytes(), deadline)
+        return lambda path, literals, deadline: parsed(_read_file(path), deadline)
     count = len(literals)
     clauses = whole.matrix.clauses[: len(whole.matrix.clauses) - count]
     # The whole file's: without a prefix, split variables may be in unit lines only.
     kinds, search = evaluator._prepared(whole, evaluator.EvalBudget(None), False)
 
     def read(path: Path, literals: Sequence[int], deadline: float | None) -> bool:
-        text = path.read_bytes()
+        text = _read_file(path)
         units = b"".join(map(_unit_line, literals))
         if len(literals) == count and text.startswith(head) and text[len(head) :] == units:
             if all(abs(lit) in kinds for lit in literals):  # so in 1..n and in the prefix, if any

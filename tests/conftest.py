@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +77,28 @@ def reference_value_of_formula(formula: Formula) -> bool:
         steps = [("e", v) for v in range(1, formula.matrix.variable_count + 1)]
     clauses = list(formula.matrix.clauses)
     return reference_qbf_value(steps, clauses)
+
+
+def reference_subproblem_files(directory, count: int):
+    """The sub-problem files of one split, by the rule of `subproblem_files`
+    as it reads: a file counts when formatting its leading index for
+    `count` (at least four digits, as many as the largest index needs), a
+    dash and the rest of its name gives the name back.  The shortest such
+    rest is the split's original, and a rest that does not extend it
+    belongs to a second split.  Returns the files by index in directory
+    order, or the split's original and the first second one."""
+    pad = max(4, len(str(max(count - 1, 0))))
+    by_original: dict[str, dict[int, Path]] = {}
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            match = re.match(r"(\d+)-(.*)", entry.name, re.S)
+            if match and entry.is_file() and entry.name == f"{int(match[1]):0{pad}d}-{match[2]}":
+                by_original.setdefault(match[2], {})[int(match[1])] = Path(entry.path)
+    if not by_original:
+        return {}
+    original = min(by_original, key=lambda name: (len(name), name))
+    others = sorted(name for name in by_original if not name.startswith(original))
+    return (original, others[0]) if others else by_original[original]
 
 
 def reference_accounted(constraints, bits: tuple[int, ...]) -> bool:

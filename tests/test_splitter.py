@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from conftest import (
     random_annotated_formula,
     random_constraint,
     reference_accounted,
+    reference_subproblem_files,
 )
 from intsplits import (
     AnnotatedQuantifier,
@@ -185,6 +188,36 @@ def test_subproblem_files_count_one_split_and_skip_side_files(tmp_path):
         subproblem_files(tmp_path, 3)
 
 
+def test_subproblem_files_keeps_the_name_rule(tmp_path):
+    """subproblem_files counts the files the reference counts, in the same
+    order, and refuses the same second splits: side files, other paddings,
+    indices beyond the count, non-ASCII digits and directories among them."""
+    rng = random.Random(20261021)
+    seen = {"files": 0, "skipped": 0, "second split": 0}
+    for case in range(80):
+        count = rng.choice([1, 3, 10_000, 10_001, 123_457])
+        directory = tmp_path / f"case{case}"
+        directory.mkdir()
+        for _ in range(rng.randint(1, 10)):
+            index = rng.choice([0, 7, count - 1, count, 12_345, 1_234_567])
+            digits = [f"{index:0{pad}d}" for pad in (1, 4, 5, 6, 7)] + ["", "\u0660\u0660\u0660\u0667", "7a"]
+            name = rng.choice(digits) + rng.choice("--_") + rng.choice(["f", "f.drat", "f-1", "g", "", "\u00e9"])
+            path = directory / name
+            if not path.exists():
+                path.mkdir() if rng.random() < 0.2 else path.write_bytes(b"")
+        expected = reference_subproblem_files(directory, count)
+        if isinstance(expected, tuple):
+            with pytest.raises(MergeError, match=re.escape(f"of {expected[0]!r} and of {expected[1]!r};")):
+                subproblem_files(directory, count)
+            seen["second split"] += 1
+        else:
+            found = subproblem_files(directory, count)
+            assert list(found.items()) == list(expected.items())
+            seen["files"] += bool(found)
+            seen["skipped"] += len(found) < len(os.listdir(directory))
+    assert all(seen.values()), seen
+
+
 def test_subproblem_index_inverts_subproblem_name():
     for index, count in [(0, 1), (3, 9), (12345, 32768)]:
         assert subproblem_index(subproblem_name(index, count, "f-1.qdimacs")) == index
@@ -242,6 +275,58 @@ def test_emit_refuses_overwrite_unless_forced(tmp_path):
     assert path.read_bytes() == b"earlier\n"
     assert emit_subproblem(FIG1, expansion, tmp_path, "f.qdimacs", 9, force=True) == path
     assert path.read_text() == write(expanded_copy(FIG1, expansion))
+
+
+def test_forced_split_rewrites_old_files_in_place(tmp_path):
+    """A forced split over longer, shorter and cut files of the same names
+    leaves each the text of its sub-problem, with the permissions that
+    `open(..., "wb")` gives a new file under the same umask; an unforced
+    split refuses and changes nothing."""
+    umask = os.umask(0o002)
+    try:
+        with open(tmp_path / "by-open", "wb"):
+            pass
+        mode = (tmp_path / "by-open").stat().st_mode & 0o777
+        growth = set()  # new minus old length of files 3 to 18: both splits write them, uncut
+        for earlier, depth in [(10, 5), (5, 10)]:
+            out = tmp_path / f"from-{earlier}-to-{depth}"
+            old = split_formula(TRIPLE_19, plan(TRIPLE_19, earlier), out, "t.qdimacs")
+            old[1].write_bytes(b"")
+            old[2].write_bytes(old[2].read_bytes()[:40])
+            before = {path.name: path.read_bytes() for path in out.iterdir()}
+            chosen = plan(TRIPLE_19, depth)
+            with pytest.raises(FileExistsError, match="0000-t.qdimacs already exists"):
+                split_formula(TRIPLE_19, chosen, out, "t.qdimacs")
+            assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+            paths = split_formula(TRIPLE_19, chosen, out, "t.qdimacs", force=True)
+            expansions = list(enumerate_accounted(chosen))
+            assert len(paths) == len(expansions) == (19 if depth == 5 else 361)
+            for path, expansion in zip(paths, expansions):
+                assert path.read_bytes() == write(expanded_copy(TRIPLE_19, expansion)).encode()
+                assert path.stat().st_mode & 0o777 == mode
+            growth.update(len(path.read_bytes()) - len(before[path.name]) for path in paths[3:19])
+        assert min(growth) < 0 < max(growth)
+    finally:
+        os.umask(umask)
+
+
+def test_a_forced_split_opens_no_file_with_o_trunc(monkeypatch, tmp_path):
+    """Opening an existing file with O_TRUNC made a forced re-split several
+    times slower on ext4: each file is written over in place instead."""
+    chosen = plan(TRIPLE_19, 10)
+    split_formula(TRIPLE_19, chosen, tmp_path, "t.qdimacs")
+    flags = []
+    real_open = os.open
+
+    def recorded(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(splitter.os, "open", recorded)
+    split_formula(TRIPLE_19, chosen, tmp_path, "t.qdimacs", force=True)
+    monkeypatch.undo()
+    assert len(flags) == 361
+    assert not any(flag & os.O_TRUNC for flag in flags)
 
 
 def test_plain_mode_cut_through_bitvector_drops_annotations(tmp_path):
@@ -446,6 +531,29 @@ def test_shared_head_reader_gives_what_parse_file_gives(tmp_path):
                 assert reread(paths[target], literals, None) == _value(paths[target]), kind
     assert all(seen.values()), seen
     assert len(kinds) == 11, kinds
+
+
+def test_short_writes_and_short_reads_lose_no_byte(monkeypatch, tmp_path):
+    """A split whose `os.write` takes at most 5 bytes a call writes what a
+    split with whole writes does, and a reader whose `os.read` gives at
+    most 7 bytes a call gives each TRIPLE_19 file its value."""
+    chosen = plan(TRIPLE_19, 10)
+    paths = split_formula(TRIPLE_19, chosen, tmp_path / "whole", "t.qdimacs")
+    whole = {path.name: path.read_bytes() for path in (tmp_path / "whole").iterdir()}
+    entries = list(enumerate_accounted(chosen))
+    values = [_value(path) for path in paths]
+    write_some, read_some = os.write, os.read
+    with monkeypatch.context() as patch:
+        patch.setattr(splitter.os, "write", lambda fd, data: write_some(fd, data[:5]))
+        split_formula(TRIPLE_19, chosen, tmp_path / "short", "t.qdimacs")
+    assert {path.name: path.read_bytes() for path in (tmp_path / "short").iterdir()} == whole
+    with monkeypatch.context() as patch:
+        patch.setattr(splitter.os, "read", lambda fd, size: read_some(fd, min(size, 7)))
+        read = splitter._subproblem_reader([(path, e.literals) for path, e in zip(paths, entries)])
+        assert [read(path, e.literals, None) for path, e in zip(paths, entries)] == values
+    big = tmp_path / "big"
+    big.write_bytes(bytes(range(256)) * 1000)  # several read chunks
+    assert splitter._read_file(big) == bytes(range(256)) * 1000
 
 
 def _served(monkeypatch, out):
