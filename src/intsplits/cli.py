@@ -5,11 +5,12 @@ files inside the working directory.  Exit status 0 means the requested
 artifact was produced; budget overruns exit with 2 to stay distinguishable
 from parse and validation failures (exit 1).
 
-`run` solves each sub-problem in a worker process forked from it.  With
-the built-in oracle it parses the split's shared head and prepares its
-search once, before the fork; a worker still reads every file, and one that
-is that head plus the unit lines of its plan.csv literals costs one run of
-that search (see `splitter._subproblem_reader`).
+`run` solves each sub-problem, named by the path string its directory
+listing gives, in a worker process forked from it.  With the built-in
+oracle it parses the split's shared head and prepares its search once,
+before the fork; a worker still reads every file, and one that is that
+head plus the unit lines of its plan.csv literals costs one `simplify` and
+one run of that search (see `splitter._subproblem_reader`).
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ from .splitter import (
     plan,
     read_manifest,
     split_formula,
-    subproblem_files,
     verify_manifest,
+    _subproblem_paths,
     _subproblem_reader,
 )
 
@@ -169,12 +170,12 @@ def _solver_signals() -> None:
     signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
 
 
-def _exit_code(template: list[str], path: Path, timeout: float) -> int:
+def _exit_code(template: list[str], path: str, timeout: float) -> int:
     """The exit code of solver command `template` with `path` put for `{file}`.
     The solver starts in its own session, so a timeout kills its whole process
     group, a wrapper's children too, and raises subprocess.TimeoutExpired."""
     global _solver_pid
-    command = [token.replace("{file}", str(path)) for token in template]
+    command = [token.replace("{file}", path) for token in template]
     with _stop_signals_held():  # no stop between the start and the record
         process = subprocess.Popen(
             command, stdout=DEVNULL, stderr=DEVNULL, start_new_session=True, preexec_fn=_solver_signals
@@ -190,9 +191,9 @@ def _exit_code(template: list[str], path: Path, timeout: float) -> int:
 
 
 def _solve(
-    path: Path,
+    path: str,
     literals: tuple[int, ...],
-    read: Callable[[Path, Sequence[int], float], bool] | None,
+    read: Callable[[str, Sequence[int], float], bool] | None,
     solver: list[str] | None,
     timeout: float,
 ) -> ResultTuple:
@@ -347,7 +348,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     manifest = _manifest(directory)
     entries = manifest.entries
     total = len(entries)
-    files = subproblem_files(directory, total)
+    files = _subproblem_paths(directory, total)
     unlisted = sorted(index for index in files if index >= total)
     if unlisted:
         raise IntsplitsError(

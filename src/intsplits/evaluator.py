@@ -14,7 +14,8 @@ all x in {1}, (x) is true), so it is always branched on.  The search still
 explores up to 2^n branches; it is an oracle for desk-scale verification,
 not a solver.  A budget guards against accidentally exploding formulas.
 A prefix's search is set up once and runs on any clauses over it: `run`
-shares one among a split's sub-problems (see `splitter._subproblem_reader`).
+shares one among a split's sub-problems, each one `simplify` of the head's
+clauses away (see `splitter._subproblem_reader`).
 """
 
 from __future__ import annotations

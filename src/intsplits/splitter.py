@@ -20,11 +20,13 @@ split renders it once, for the first assignment, and writes each file as
 that shared head plus the file's own unit lines, and plan.csv in the same
 pass.  `_subproblem_reader` reads the files back the same way: it parses
 the head and prepares its search once, and a file that is the head plus
-the unit lines of its plan.csv literals costs a read, a byte comparison and
-one run of that search on the head's clauses plus those unit clauses.  The
-file stays the specification: any other file is parsed in full.  The files
-are written and read with raw `os` calls, and `force` writes over an old
-file in place and cuts it to its new length, not truncating it on open.
+the unit lines of its plan.csv literals, on distinct existential
+variables, costs a read, a byte comparison, one `simplify` of the head's
+clauses by those literals and one run of that search.  The file stays the
+specification: any other file is parsed in full.  The files are written
+and read with raw `os` calls, listed by the paths `os.scandir` gives, and
+`force` writes over an old file in place and cuts it to its new length,
+not truncating it on open.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .formula import (
     Top,
     accounted_values,
     literals_of,
+    simplify,
 )
 from . import evaluator, qdimacs
 
@@ -207,16 +210,21 @@ def subproblem_files(directory: str | Path, count: int) -> dict[int, Path]:
     counted; a name with any other original belongs to a second split and
     is an error.
     """
-    pad, base = len(subproblem_name(0, count, "")) - 1, Path(directory)
-    by_original: dict[str, dict[int, Path]] = {}
-    with os.scandir(base) as entries:
+    return {index: Path(path) for index, path in _subproblem_paths(directory, count).items()}
+
+
+def _subproblem_paths(directory: str | Path, count: int) -> dict[int, str]:
+    """`subproblem_files` with each path the string that `os.scandir` gives."""
+    pad = len(subproblem_name(0, count, "")) - 1
+    by_original: dict[str, dict[int, str]] = {}
+    with os.scandir(directory) as entries:
         for entry in entries:
             digits, dash, original = entry.name.partition("-")
             # As subproblem_name writes them: `pad` digits, or more and no leading zero.
             if not (dash and digits.isascii() and digits.isdigit()):
                 continue
             if (len(digits) == pad or len(digits) > pad and digits[0] != "0") and entry.is_file():
-                by_original.setdefault(original, {})[int(digits)] = base / entry.name
+                by_original.setdefault(original, {})[int(digits)] = entry.path
     if not by_original:
         return {}
     original = min(by_original, key=lambda name: (len(name), name))
@@ -308,7 +316,7 @@ def _write_file(path: Path, data: bytes, force: bool) -> None:
         os.close(fd)
 
 
-def _read_file(path: Path) -> bytes:
+def _read_file(path: str) -> bytes:
     """The bytes of the file at `path`, read with raw `os` calls."""
     fd = os.open(path, os.O_RDONLY)
     try:
@@ -360,8 +368,8 @@ def split_formula(
 
 
 def _subproblem_reader(
-    tasks: Sequence[tuple[Path, Sequence[int]]],
-) -> Callable[[Path, Sequence[int], float | None], bool]:
+    tasks: Sequence[tuple[str, Sequence[int]]],
+) -> Callable[[str, Sequence[int], float | None], bool]:
     """A reader of a split's sub-problem files, each given with its plan.csv
     literals and a deadline, that returns what `evaluate` with no variable
     cap gives for the file's formula, but parses the split's shared head and
@@ -371,11 +379,14 @@ def _subproblem_reader(
     files of the first two consecutive `tasks` share byte for byte, or that
     of the file of the only task; it must end at a line break, or its last
     line and the first unit line would read as one clause.  A file that is
-    the head plus the unit lines of as many literals, each on a variable the
-    head's search branches on, is that search over the head's clauses plus
-    those unit clauses.  Any other file is parsed in full and searched on its
-    own; so is every file when no head is found, the head does not parse,
-    or a file read in the search for it cannot be read.
+    the head plus the unit lines of as many literals, on variables that
+    the head's search branches on, costs a read, a byte comparison and a
+    search: of the head's clauses simplified by the literals if they are on
+    distinct existential variables (which the search would propagate first,
+    to the same fixpoint in any order), else plus their unit clauses.
+    Any other file is parsed in full and searched on its own; so is every
+    file when no head is found, the head does not parse, or a file read in
+    the search for it cannot be read.
     """
     whole, previous = None, None
     with suppress(OSError, IntsplitsError):
@@ -399,12 +410,18 @@ def _subproblem_reader(
     clauses = whole.matrix.clauses[: len(whole.matrix.clauses) - count]
     # The whole file's: without a prefix, split variables may be in unit lines only.
     kinds, search = evaluator._prepared(whole, evaluator.EvalBudget(None), False)
+    # As split_formula's, for the variables the search branches on (so in
+    # 1..n and in the prefix, if any); and the literals that propagate.
+    unit_line = {lit: _unit_line(lit) for v in kinds for lit in (v, -v)}
+    allowed = set(unit_line)
+    existential = {lit for lit in allowed if kinds[abs(lit)] is QuantifierKind.EXISTS}
 
-    def read(path: Path, literals: Sequence[int], deadline: float | None) -> bool:
+    def read(path: str, literals: Sequence[int], deadline: float | None) -> bool:
         text = _read_file(path)
-        units = b"".join(map(_unit_line, literals))
-        if len(literals) == count and text.startswith(head) and text[len(head) :] == units:
-            if all(abs(lit) in kinds for lit in literals):  # so in 1..n and in the prefix, if any
+        if len(literals) == count and allowed.issuperset(literals) and text.startswith(head):
+            if text[len(head) :] == b"".join([unit_line[lit] for lit in literals]):
+                if existential.issuperset(literals) and len(set(map(abs, literals))) == count:
+                    return search(simplify(clauses, literals), deadline)
                 return search(clauses + tuple([(lit,) for lit in literals]), deadline)
         return parsed(text, deadline)
 

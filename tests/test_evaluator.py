@@ -26,6 +26,7 @@ from intsplits import (
     CorrectnessVerdict,
     EvalBudget,
     Formula,
+    IntsplitsError,
     Less,
     Matrix,
     QuantifierBlock,
@@ -40,6 +41,8 @@ from intsplits import (
     plan,
     sorted_annotations,
 )
+from intsplits import evaluator
+from intsplits.formula import simplify
 
 XOR_MATRIX = matrix_of([(1, 2), (-1, -2)], 2)
 
@@ -214,6 +217,47 @@ def test_propagation_matches_the_references_on_sub_problems():
             assert evaluate_with_intsplits(formula) is bounded, formula
             differ += bounded != plain
     assert differ > 0
+
+
+def _outcome(search, clauses):
+    """What a search gives: the truth value, or the class of the error it raises."""
+    try:
+        return search(clauses, None)
+    except IntsplitsError as exc:
+        return type(exc)
+
+
+def test_applying_existential_units_equals_searching_them():
+    # The fast path of `splitter._subproblem_reader`: literals on distinct
+    # plain existential variables, applied with `simplify`, give what their
+    # unit clauses give, since the search propagates those first and unit
+    # propagation reaches the same clauses or a conflict in any order.
+    rng = random.Random(20261022)
+    seen = dict.fromkeys(["prefixed", "prefix-free", "literals", "true", "false"], 0)
+    for draw in range(2000):
+        if draw % 2:
+            drawn = _gate_draw(rng)
+        else:
+            drawn = random_annotated_formula(rng, max_vars=10, require_correct=False)
+            if rng.random() < 0.25:
+                drawn = Formula(drawn.matrix, (), ())
+        for formula in (drawn, _sub_problem(rng, drawn)):
+            for use_intsplits in (False, True):
+                kinds, search = evaluator._prepared(formula, EvalBudget(None), use_intsplits)
+                existential = [v for v, kind in kinds.items() if kind is E]
+                chosen = rng.sample(existential, rng.randint(0, len(existential)))
+                literals = [v * rng.choice([1, -1]) for v in chosen]
+                clauses = formula.matrix.clauses
+                applied = _outcome(search, simplify(clauses, literals))
+                assert applied == _outcome(search, clauses + tuple((lit,) for lit in literals)), (
+                    formula,
+                    literals,
+                )
+                seen["prefixed" if formula.prefix else "prefix-free"] += 1
+                seen["literals"] += bool(literals)
+                if applied in (True, False):
+                    seen[str(applied).lower()] += 1
+    assert all(seen.values()), seen
 
 
 def test_the_split_units_decide_a_sub_problem_at_its_root():

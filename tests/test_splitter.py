@@ -464,6 +464,8 @@ def _mutants(rng: random.Random, text: bytes, literals: tuple[int, ...], formula
     if len(literals) > 1:
         complementary = (*literals[:-1], -literals[0])
         yield "complementary units", head + _unit_lines(complementary), complementary
+        repeated = (*literals[:-1], literals[0])
+        yield "repeated unit", head + _unit_lines(repeated), repeated
     universal = [v for block in formula.prefix if block.kind is A for v in block.variables]
     if universal:
         forall = (*literals[:-1], rng.choice(universal) * rng.choice([1, -1]))
@@ -530,7 +532,7 @@ def test_shared_head_reader_gives_what_parse_file_gives(tmp_path):
                 assert _outcome(lambda: reread(other, plan_literals, None)) == expected, kind
                 assert reread(paths[target], literals, None) == _value(paths[target]), kind
     assert all(seen.values()), seen
-    assert len(kinds) == 11, kinds
+    assert len(kinds) == 12, kinds
 
 
 def test_short_writes_and_short_reads_lose_no_byte(monkeypatch, tmp_path):
@@ -580,6 +582,66 @@ def _served(monkeypatch, out):
     monkeypatch.undo()
     assert values == {index: _value(path) for index, path in paths.items()}
     return calls, values
+
+
+def _recorded_searches(monkeypatch) -> list[tuple[tuple[int, ...], ...]]:
+    """The clauses that every prepared search is given from here on, in call order."""
+    received = []
+    prepare = evaluator._prepared
+
+    def recording(*args):
+        kinds, search = prepare(*args)
+
+        def recorded(clauses, deadline):
+            received.append(clauses)
+            return search(clauses, deadline)
+
+        return kinds, recorded
+
+    monkeypatch.setattr(evaluator, "_prepared", recording)
+    return received
+
+
+def test_a_matching_task_is_searched_without_unit_clauses(monkeypatch, tmp_path):
+    """Each of TRIPLE_19's 361 depth-10 files reaches the prepared search as
+    the head's clauses simplified by its plan literals, with no unit clause
+    of them; complementary, universal and repeated plan literals still reach
+    the shared search as the head's clauses plus their unit clauses."""
+    chosen = plan(TRIPLE_19, 10)
+    paths = split_formula(TRIPLE_19, chosen, tmp_path / "ten", "t.qdimacs")
+    entries = list(enumerate_accounted(chosen))
+    received = _recorded_searches(monkeypatch)
+    read = splitter._subproblem_reader([(str(path), e.literals) for path, e in zip(paths, entries)])
+    values = [read(str(path), e.literals, None) for path, e in zip(paths, entries)]
+    assert len(received) == 361
+    for clauses, entry in zip(received, entries):
+        assert not {(lit,) for lit in entry.literals}.intersection(clauses), entry
+    monkeypatch.undo()
+    assert values == [_value(path) for path in paths]
+
+    # At depth 5 the sub-problems keep TRIPLE_19's universal block.
+    chosen = plan(TRIPLE_19, 5)
+    paths = split_formula(TRIPLE_19, chosen, tmp_path / "five", "t.qdimacs")
+    entries = list(enumerate_accounted(chosen))
+    received = _recorded_searches(monkeypatch)
+    read = splitter._subproblem_reader([(str(path), e.literals) for path, e in zip(paths, entries)])
+    parses, parse_text = [], qdimacs.parse
+    monkeypatch.setattr(qdimacs, "parse", lambda *args: parses.append(args) or parse_text(*args))
+    other = tmp_path / "other.qdimacs"
+    rng = random.Random(20261022)
+    reached = dict.fromkeys(["complementary units", "universal unit", "repeated unit"], 0)
+    for path, entry in zip(paths, entries):
+        for kind, mutant, literals in _mutants(rng, path.read_bytes(), entry.literals, parse_file(path)):
+            if kind in reached:
+                other.write_bytes(mutant)
+                del received[:], parses[:]
+                value = read(str(other), literals, None)
+                # Through the shared search, not a parse and a search of its own.
+                assert received == [TRIPLE_19.matrix.clauses + tuple((lit,) for lit in literals)], kind
+                assert not parses, kind
+                assert value == _value(other), kind
+                reached[kind] += 1
+    assert all(reached.values()), reached
 
 
 def _codes(out) -> dict[int, str]:
