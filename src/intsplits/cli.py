@@ -5,8 +5,8 @@ files inside the working directory.  Exit status 0 means the requested
 artifact was produced; budget overruns exit with 2 to stay distinguishable
 from parse and validation failures (exit 1).
 
-`run` solves each sub-problem, named by the path string its directory
-listing gives, in a worker process forked from it.  With the built-in
+`run` solves each sub-problem, named by a path string built without a
+`Path` per task, in a worker process forked from it.  With the built-in
 oracle it parses the split's shared head and prepares its search once,
 before the fork; a worker still reads every file, and one that is that
 head plus the unit lines of its plan.csv literals costs one `simplify` and

@@ -24,7 +24,7 @@ the unit lines of its plan.csv literals, on distinct existential
 variables, costs a read, a byte comparison, one `simplify` of the head's
 clauses by those literals and one run of that search.  The file stays the
 specification: any other file is parsed in full.  The files are written
-and read with raw `os` calls, listed by the paths `os.scandir` gives, and
+and read with raw `os` calls, listed as path strings with no `Path` each, and
 `force` writes over an old file in place and cuts it to its new length,
 not truncating it on open.
 """
@@ -214,8 +214,10 @@ def subproblem_files(directory: str | Path, count: int) -> dict[int, Path]:
 
 
 def _subproblem_paths(directory: str | Path, count: int) -> dict[int, str]:
-    """`subproblem_files` with each path the string that `os.scandir` gives."""
+    """`subproblem_files` with each path a string: `str(Path(directory) / name)`."""
     pad = len(subproblem_name(0, count, "")) - 1
+    base = os.fspath(Path(directory))
+    prefix = "" if base == "." else os.path.join(base, "")  # as `Path` joins
     by_original: dict[str, dict[int, str]] = {}
     with os.scandir(directory) as entries:
         for entry in entries:
@@ -224,7 +226,7 @@ def _subproblem_paths(directory: str | Path, count: int) -> dict[int, str]:
             if not (dash and digits.isascii() and digits.isdigit()):
                 continue
             if (len(digits) == pad or len(digits) > pad and digits[0] != "0") and entry.is_file():
-                by_original.setdefault(original, {})[int(digits)] = entry.path
+                by_original.setdefault(original, {})[int(digits)] = prefix + entry.name
     if not by_original:
         return {}
     original = min(by_original, key=lambda name: (len(name), name))
@@ -379,14 +381,15 @@ def _subproblem_reader(
     files of the first two consecutive `tasks` share byte for byte, or that
     of the file of the only task; it must end at a line break, or its last
     line and the first unit line would read as one clause.  A file that is
-    the head plus the unit lines of as many literals, on variables that
-    the head's search branches on, costs a read, a byte comparison and a
-    search: of the head's clauses simplified by the literals if they are on
-    distinct existential variables (which the search would propagate first,
-    to the same fixpoint in any order), else plus their unit clauses.
-    Any other file is parsed in full and searched on its own; so is every
-    file when no head is found, the head does not parse, or a file read in
-    the search for it cannot be read.
+    the head plus the unit lines of as many literals, on distinct
+    existential variables that the head's search branches on, costs a read,
+    a byte comparison and a search of the head's clauses simplified by the
+    literals (which the search would propagate first, to the same fixpoint
+    in any order).  Any other file, such as one whose plan.csv and units
+    were edited to complementary, repeated or universal literals, is parsed
+    in full and searched on its own; so is every file when no head is
+    found, the head does not parse, or a file read in the search for it
+    cannot be read.
     """
     whole, previous = None, None
     with suppress(OSError, IntsplitsError):
@@ -410,19 +413,16 @@ def _subproblem_reader(
     clauses = whole.matrix.clauses[: len(whole.matrix.clauses) - count]
     # The whole file's: without a prefix, split variables may be in unit lines only.
     kinds, search = evaluator._prepared(whole, evaluator.EvalBudget(None), False)
-    # As split_formula's, for the variables the search branches on (so in
-    # 1..n and in the prefix, if any); and the literals that propagate.
-    unit_line = {lit: _unit_line(lit) for v in kinds for lit in (v, -v)}
-    allowed = set(unit_line)
-    existential = {lit for lit in allowed if kinds[abs(lit)] is QuantifierKind.EXISTS}
+    # As split_formula's, for the existential variables the search branches
+    # on (so in 1..n and in the prefix, if any): the literals that propagate.
+    existential = {lit for v, kind in kinds.items() if kind is QuantifierKind.EXISTS for lit in (v, -v)}
+    unit_line = {lit: _unit_line(lit) for lit in existential}
 
     def read(path: str, literals: Sequence[int], deadline: float | None) -> bool:
         text = _read_file(path)
-        if len(literals) == count and allowed.issuperset(literals) and text.startswith(head):
-            if text[len(head) :] == b"".join([unit_line[lit] for lit in literals]):
-                if existential.issuperset(literals) and len(set(map(abs, literals))) == count:
-                    return search(simplify(clauses, literals), deadline)
-                return search(clauses + tuple([(lit,) for lit in literals]), deadline)
+        if len(literals) == count and existential.issuperset(literals) and len(set(map(abs, literals))) == count:
+            if text.startswith(head) and text[len(head) :] == b"".join([unit_line[lit] for lit in literals]):
+                return search(simplify(clauses, literals), deadline)
         return parsed(text, deadline)
 
     return read
