@@ -16,7 +16,6 @@ one run of that search (see `splitter._subproblem_reader`).
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import multiprocessing
 import os
@@ -30,7 +29,7 @@ from itertools import islice
 from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from subprocess import DEVNULL
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import qdimacs
 from .errors import BudgetExceededError, IntsplitsError
@@ -62,6 +61,7 @@ from .splitter import (
     read_manifest,
     split_formula,
     verify_manifest,
+    _listed_plan,
     _subproblem_paths,
     _subproblem_reader,
 )
@@ -343,6 +343,12 @@ def _manifest(directory: Path) -> Manifest:
         ) from None
 
 
+def _row_lines(rows: Iterable[tuple[int, ResultTuple]]) -> str:
+    """results.csv's lines for `rows`, as csv.writer writes `result_row`'s
+    fields: CRLF line ends, and no field that needs quoting."""
+    return "".join(["%s,%s,%s\r\n" % tuple(result_row(index, result)) for index, result in rows])
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     directory = Path(args.dir)
     manifest = _manifest(directory)
@@ -375,9 +381,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         # so no kill can lose a finished result.
         scratch = results_path.with_name(RESULTS_NAME + ".tmp")
         with scratch.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(RESULTS_HEADER)
-            writer.writerows(result_row(index, result) for index, result in done.items())
+            handle.write(",".join(RESULTS_HEADER) + "\r\n" + _row_lines(done.items()))
         os.replace(scratch, results_path)
     read = None
     if pending and not args.solver:  # parse the shared head and prepare its search once, before the fork
@@ -389,9 +393,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     batches = _results(pending, solve, bool(args.solver), args.jobs)
     unknown = 0
     with _stop_signals(), results_path.open("a", newline="") as handle, closing(batches):
-        writer = csv.writer(handle)
         for batch in batches:
-            writer.writerows(result_row(index, result) for index, result in batch)
+            handle.write(_row_lines(batch))
             handle.flush()
             unknown += sum(result.code is ResultCode.UNKNOWN for _, result in batch)
     _say(f"ran {len(pending)} tasks ({unknown} unknown), results in {results_path}")
@@ -401,9 +404,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_merge(args: argparse.Namespace) -> int:
     formula = _load(args)
     directory = Path(args.dir)
-    manifest = _manifest(directory)
-    split_plan = plan(formula, manifest.depth, manifest.mode)
-    verify_manifest(split_plan, manifest)
+    split_plan = _listed_plan(formula, directory / MANIFEST_NAME)
+    if split_plan is None:  # plan.csv is not as split writes it: find what differs
+        manifest = _manifest(directory)
+        split_plan = plan(formula, manifest.depth, manifest.mode)
+        verify_manifest(split_plan, manifest)
     source = Path(args.results) if args.results else directory / RESULTS_NAME
     table = ingest(source, split_plan)
     final, report = merge(table, args.time_model)

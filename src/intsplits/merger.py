@@ -30,7 +30,7 @@ from .errors import (
     UnparsableRowError,
 )
 from .formula import QuantifierKind
-from .splitter import SplitPlan, count_subproblems, count_without_intsplits, subproblem_files
+from .splitter import SplitPlan, count_subproblems, count_without_intsplits, _subproblem_paths
 
 __all__ = [
     "ResultCode",
@@ -146,7 +146,7 @@ def _rows_from_csv(path: Path, torn: list[str] | None = None) -> Iterator[tuple[
         for line_no, last in enumerate(handle, start=1):
             where = f"{path}: line {line_no}"
             try:
-                row = parse_result_row(last, where)
+                row = _row_as_written(last) or parse_result_row(last, where)
             except UnparsableRowError:
                 if torn is None:
                     raise
@@ -156,6 +156,21 @@ def _rows_from_csv(path: Path, torn: list[str] | None = None) -> Iterator[tuple[
                 yield where, *row
     if torn is not None and not last.endswith("\n"):
         torn.append(f"{path}: end")
+
+
+def _row_as_written(line: str) -> tuple[int, ResultTuple] | None:
+    """What parse_result_row gives for a row as `run` writes it, with an
+    exact result token and valid numbers (which `int` and `float` read
+    whatever whitespace is around them); None for any other line."""
+    fields = line.split(",")
+    if len(fields) == 3 and fields[1] in _RESULT_TOKENS:
+        try:
+            index, seconds = int(fields[0]), float(fields[2])
+        except ValueError:
+            return None
+        if math.isfinite(seconds) and seconds >= 0:
+            return index, ResultTuple(_RESULT_TOKENS[fields[1]], seconds)
+    return None
 
 
 def _parse_token_at(token: str, where: str) -> ResultCode:
@@ -179,9 +194,11 @@ def _rows_from_logs(directory: Path, count: int) -> Iterator[tuple[str, int, Res
     # One log file per sub-problem, named like the sub-problem itself plus
     # one suffix (the rule of subproblem_files); the last non-empty line must
     # be `RESULT <code> TIME <s>`.
-    for index, path in sorted(subproblem_files(directory, count).items()):
+    for index, path in sorted(_subproblem_paths(directory, count).items()):
         last = ""
-        for line in path.read_text(errors="replace").splitlines():
+        with open(path, errors="replace") as handle:
+            text = handle.read()
+        for line in text.splitlines():
             if line.strip():
                 last = line.strip()
         found = _LOG_LINE.search(last)
@@ -189,9 +206,9 @@ def _rows_from_logs(directory: Path, count: int) -> Iterator[tuple[str, int, Res
             raise UnparsableRowError(
                 f"{path}: last line is not 'RESULT <code> TIME <seconds>'"
             )
-        code = _parse_token_at(found.group(1), str(path))
-        seconds = _parse_time_at(found.group(2), str(path))
-        yield str(path), index, ResultTuple(code, seconds)
+        code = _parse_token_at(found.group(1), path)
+        seconds = _parse_time_at(found.group(2), path)
+        yield path, index, ResultTuple(code, seconds)
 
 
 def format_indices(indices: Sequence[int]) -> str:

@@ -17,16 +17,20 @@ can be split again.
 `qdimacs.write(expanded_copy(...))` specifies a file's text.  Everything
 but its unit lines depends only on which variables the plan expands, so a
 split renders it once, for the first assignment, and writes each file as
-that shared head plus the file's own unit lines, and plan.csv in the same
-pass.  `_subproblem_reader` reads the files back the same way: it parses
-the head and prepares its search once, and a file that is the head plus
-the unit lines of its plan.csv literals, on distinct existential
-variables, costs a read, a byte comparison, one `simplify` of the head's
-clauses by those literals and one run of that search.  The file stays the
-specification: any other file is parsed in full.  The files are written
-and read with raw `os` calls, listed as path strings with no `Path` each, and
-`force` writes over an old file in place and cuts it to its new length,
-not truncating it on open.
+that shared head plus the file's own unit lines, and then plan.csv.  One
+per-vector row table (`_row_table`) holds, for each accounted value of
+each expanded vector, its literals, unit lines and plan.csv items; a row
+is the product of its vectors' parts.  The table renders the files,
+plan.csv, and the plan.csv that `merge` compares byte for byte with the
+file before it would parse it.  `_subproblem_reader` reads the files back
+the same way: it parses the head and prepares its search once, and a file
+that is the head plus the unit lines of its plan.csv literals, on
+distinct existential variables, costs a read, a byte comparison, one
+`simplify` of the head's clauses by those literals and one run of that
+search.  The file stays the specification: any other file is parsed in
+full.  The files are written and read with raw `os` calls, listed as path
+strings with no `Path` each, and `force` writes over an old file in place
+and cuts it to its new length, not truncating it on open.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from enum import Enum
 from itertools import chain, groupby, product
 from math import prod
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence
 
 from .errors import BlockMismatchError, EmptyPlanError, FormulaError, IntsplitsError, MergeError
 from .formula import (
@@ -175,13 +179,30 @@ def count_without_intsplits(split_plan: SplitPlan) -> int:
 def enumerate_accounted(split_plan: SplitPlan) -> Iterator[ExpansionIndex]:
     """All accounted assignments, lexicographic over the concatenated
     bit-vectors in plan order (MSB first, last vector varies fastest)."""
-    # One literal tuple per accounted value of each vector, built once.
-    tables = [
+    literals, _, _ = _row_table(split_plan)
+    for index, row in enumerate(product(*literals)):
+        yield ExpansionIndex(index, tuple(chain.from_iterable(row)))
+
+
+def _row_table(
+    split_plan: SplitPlan,
+) -> tuple[list[list[tuple[int, ...]]], list[list[bytes]], list[list[bytes]]]:
+    """The parts of the plan's rows, one list per selected vector in plan
+    order, over its accounted values in order: the value's literals, the
+    unit lines a sub-problem file holds for them, and its `var=bit;...`
+    items in plan.csv.  The `product` of one kind's lists gives the rows in
+    `enumerate_accounted`'s order, so a row is a join of its vectors' parts,
+    not a lookup per literal."""
+    literals = [
         [literals_of(aq.bitvector.variables, value) for value in accounted_values(aq)]
         for aq in split_plan.quantifiers
     ]
-    for index, parts in enumerate(product(*tables)):
-        yield ExpansionIndex(index, tuple(chain.from_iterable(parts)))
+    units = [[b"".join(map(_unit_line, value)) for value in vector] for vector in literals]
+    items = [
+        [b";".join([b"%d=%d" % (abs(lit), lit > 0) for lit in value]) for value in vector]
+        for vector in literals
+    ]
+    return literals, units, items
 
 
 def subproblem_name(index: int, count: int, original_name: str) -> str:
@@ -216,8 +237,7 @@ def subproblem_files(directory: str | Path, count: int) -> dict[int, Path]:
 def _subproblem_paths(directory: str | Path, count: int) -> dict[int, str]:
     """`subproblem_files` with each path a string: `str(Path(directory) / name)`."""
     pad = len(subproblem_name(0, count, "")) - 1
-    base = os.fspath(Path(directory))
-    prefix = "" if base == "." else os.path.join(base, "")  # as `Path` joins
+    prefix = _path_prefix(directory)
     by_original: dict[str, dict[int, str]] = {}
     with os.scandir(directory) as entries:
         for entry in entries:
@@ -237,6 +257,12 @@ def _subproblem_paths(directory: str | Path, count: int) -> dict[int, str]:
             f"keep one split per directory"
         )
     return by_original[original]
+
+
+def _path_prefix(directory: str | Path) -> str:
+    """The text that `str(Path(directory) / name)` puts before `name`."""
+    base = os.fspath(Path(directory))
+    return "" if base == "." else os.path.join(base, "")
 
 
 def _aligned_prefix(
@@ -303,7 +329,7 @@ def _unit_line(lit: int) -> bytes:
     return b"%d 0\n" % lit
 
 
-def _write_file(path: Path, data: bytes, force: bool) -> None:
+def _write_file(path: str | Path, data: bytes, force: bool) -> None:
     """Make `data` the whole of the file at `path`, refusing an existing file
     unless `force`.  An existing file is written over in place and then cut
     to size: on ext4, a file that O_TRUNC empties on open is written back
@@ -318,7 +344,7 @@ def _write_file(path: Path, data: bytes, force: bool) -> None:
         os.close(fd)
 
 
-def _read_file(path: str) -> bytes:
+def _read_file(path: str | Path) -> bytes:
     """The bytes of the file at `path`, read with raw `os` calls."""
     fd = os.open(path, os.O_RDONLY)
     try:
@@ -345,28 +371,24 @@ def split_formula(
     names = [subproblem_name(index, total, original_name) for index in range(total)]
     if not force and (taken := set(os.listdir(out_dir)).intersection(names)):
         raise FileExistsError(f"{out_dir / min(taken)} already exists (use force to overwrite)")
-    unit_line = {lit: _unit_line(lit) for v in split_plan.variables for lit in (v, -v)}
-    expansions = enumerate_accounted(split_plan)
-    first = next(expansions)
+    literals, units, items = _row_table(split_plan)
+    first = ExpansionIndex(0, tuple(chain.from_iterable([vector[0] for vector in literals])))
     text = qdimacs.write(expanded_copy(formula, first)).encode()
-    head = text.removesuffix(b"".join([unit_line[lit] for lit in first.literals]))
+    head = text.removesuffix(b"".join([vector[0] for vector in units]))
     manifest = out_dir / MANIFEST_NAME
     scratch = manifest.with_name(MANIFEST_NAME + ".tmp")
     manifest.unlink(missing_ok=True)
-    paths = []
+    prefix = _path_prefix(out_dir)
+    for name, row in zip(names, product(*units)):
+        _write_file(prefix + name, head + b"".join(row), force)
     try:
-        with scratch.open("w", newline="") as plan_file:
-            write_row = _manifest_writer(split_plan, plan_file)
-            for expansion in chain((first,), expansions):
-                path = out_dir / names[expansion.index]
-                _write_file(path, head + b"".join([unit_line[lit] for lit in expansion.literals]), force)
-                write_row(expansion)
-                paths.append(path)
+        with scratch.open("wb") as plan_file:
+            plan_file.writelines(_manifest_lines(split_plan, items))
     except BaseException:
         scratch.unlink(missing_ok=True)
         raise
     os.replace(scratch, manifest)
-    return paths
+    return [out_dir / name for name in names]
 
 
 def _subproblem_reader(
@@ -440,23 +462,50 @@ class Manifest:
 def write_manifest(split_plan: SplitPlan, out_dir: str | Path) -> Path:
     """plan.csv: `# mode=M depth=D`, then one `index,var=bit;...` row per sub-problem."""
     path = Path(out_dir) / MANIFEST_NAME
-    with path.open("w", newline="") as handle:
-        write_row = _manifest_writer(split_plan, handle)
-        for expansion in enumerate_accounted(split_plan):
-            write_row(expansion)
+    with path.open("wb") as handle:
+        handle.writelines(_manifest_lines(split_plan, _row_table(split_plan)[2]))
     return path
 
 
-def _manifest_writer(split_plan: SplitPlan, handle: TextIO) -> Callable[[ExpansionIndex], int]:
-    """Write plan.csv's first two lines; return the writer of one expansion's row.
+def _manifest_lines(split_plan: SplitPlan, items: Sequence[Sequence[bytes]]) -> Iterator[bytes]:
+    """plan.csv's lines, as csv.writer writes them (CRLF line ends, and no
+    field that needs quoting): the settings and header lines, then one row
+    per sub-problem, from `items`, the plan's `_row_table` items."""
+    yield b"# mode=%s depth=%d\r\nindex,assignment\r\n" % (
+        split_plan.mode.value.encode(),
+        split_plan.requested_depth,
+    )
+    for index, row in enumerate(product(*items)):
+        yield b"%d,%s\r\n" % (index, b";".join(row))
 
-    plan.csv is the CSV that csv.writer writes: CRLF line ends, and no field
-    that needs quoting.  Each literal's `var=bit` item is formatted once.
-    """
-    handle.write(f"# mode={split_plan.mode.value} depth={split_plan.requested_depth}\r\n")
-    handle.write("index,assignment\r\n")
-    item = {lit: f"{abs(lit)}={int(lit > 0)}" for v in split_plan.variables for lit in (v, -v)}
-    return lambda e: handle.write(f"{e.index},{';'.join([item[lit] for lit in e.literals])}\r\n")
+
+def _listed_plan(formula: Formula, path: str | Path) -> SplitPlan | None:
+    """The plan of `formula` with the settings on line 1 of the plan.csv at
+    `path`, if the file holds the very bytes that `split` writes for that
+    plan; else None, with or without a file, and `read_manifest` and
+    `verify_manifest` are left to check it entry by entry and name what
+    differs."""
+    try:
+        data = _read_file(path)
+    except OSError:
+        return None
+    end = data.find(b"\r\n")
+    settings = _SETTINGS.fullmatch(data[:end].decode(errors="replace")) if end >= 0 else None
+    if settings is None:
+        return None
+    try:
+        split_plan = plan(formula, int(settings[2]), SplitMode(settings[1]))
+    except (IntsplitsError, ValueError):
+        return None
+    # Lines first: a plan with more rows than the file has is never listed.
+    if data.count(b"\n") != count_subproblems(split_plan) + 2:
+        return None
+    at = 0
+    for line in _manifest_lines(split_plan, _row_table(split_plan)[2]):
+        if not data.startswith(line, at):
+            return None
+        at += len(line)
+    return split_plan if at == len(data) else None
 
 
 def read_manifest(path: str | Path) -> Manifest:
@@ -477,20 +526,22 @@ def read_manifest(path: str | Path) -> Manifest:
                 raise MergeError(f"{path}: row {row_no} has {len(row)} fields, expected 2")
             try:
                 index = int(row[0])
-                literals = []
-                if row[1].strip():
-                    for item in row[1].split(";"):
+                items = row[1].split(";") if row[1].strip() else []
+                try:
+                    literals = tuple([literal_of[item] for item in items])
+                except KeyError:  # an item first seen in this row
+                    for item in items:
                         if item not in literal_of:
                             var, bit = map(int, item.split("="))
                             if var < 1 or bit not in (0, 1):
                                 raise ValueError
                             literal_of[item] = var if bit else -var
-                        literals.append(literal_of[item])
+                    literals = tuple([literal_of[item] for item in items])
             except ValueError:
                 raise MergeError(f"{path}: row {row_no} is not a valid plan entry") from None
             if index != len(entries):
                 raise MergeError(f"{path}: row {row_no} has index {index}, expected {len(entries)}")
-            entries.append(ExpansionIndex(index, tuple(literals)))
+            entries.append(ExpansionIndex(index, literals))
     return Manifest(SplitMode(settings[1]), int(settings[2]), tuple(entries))
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import contextlib
+import csv
+import io
 import multiprocessing
 import os
 import random
@@ -25,6 +27,7 @@ from conftest import (
 )
 from intsplits import cli
 from intsplits.cli import main
+from intsplits.merger import RESULTS_HEADER, result_row
 
 FIG1_TEXT = (
     "cs int [1 2] <3\ncs int [3 4] <3\n"
@@ -1067,3 +1070,157 @@ def test_solvers_start_with_default_signal_handling(signame, fig1, tmp_path):
     solver = f"sh -c 'kill -{signame} $$; exit 20' {{file}}"
     assert run_cli("run", out, "--jobs", 2, "--solver", solver) == 0
     assert [row.split(",")[1] for row in _rows(out).values()] == ["UNKNOWN"] * 3
+
+
+def _plan_csv_mutants(data: bytes) -> dict[str, bytes | None]:
+    """Edited copies of a plan.csv as split writes it; None deletes the file."""
+    settings, header, *rows = data.split(b"\r\n")[:-1]
+    mode, depth = settings.split(b" ")[1:]
+    other_mode = b"mode=plain" if mode == b"mode=intsplit" else b"mode=intsplit"
+    depth = int(depth.split(b"=")[1])
+
+    def lines(*edited: bytes) -> bytes:
+        return b"".join(line + b"\r\n" for line in edited)
+
+    first_item = rows[0].split(b",")[1].split(b";")[0]  # b"" for a row of no literal
+    mutants = {
+        "LF line ends": data.replace(b"\r\n", b"\n"),
+        "blank line": lines(settings, header, rows[0], b"", *rows[1:]),
+        "repeated header": lines(settings, header, rows[0], header, *rows[1:]),
+        "changed header": lines(settings, b"entry,assignment", *rows),
+        "quoted field": lines(settings, header, rows[0].replace(b",", b',"', 1) + b'"', *rows[1:]),
+        "repeated row": lines(settings, header, rows[0], *rows),
+        "skipped row": lines(settings, header, *rows[1:]),
+        "changed mode": lines(settings.replace(mode, other_mode), header, *rows),
+        "depth + 1": lines(b"# %s depth=%d" % (mode, depth + 1), header, *rows),
+        "depth - 1": lines(b"# %s depth=%d" % (mode, depth - 1), header, *rows),
+        "no final CRLF": data[:-2],
+        "trailing extra row": lines(settings, header, *rows, b"%d,%s" % (len(rows), first_item)),
+        "trailing bytes": data + b"0",
+        "non-UTF-8 byte": data[:-3] + b"\xff" + data[-2:],
+        "deleted": None,
+    }
+    if len(rows) > 1:
+        mutants["reordered rows"] = lines(settings, header, rows[1], rows[0], *rows[2:])
+    if first_item:
+        var, bit = first_item.split(b"=")
+        for name, new in [("other valid literal", b"%s=%d" % (var, 1 - int(bit))), ("invalid literal", var + b"=2")]:
+            mutants[name] = lines(settings, header, rows[0].replace(first_item, new, 1), *rows[1:])
+    return mutants
+
+
+def _merged(formula: Path, out: Path, capsys) -> tuple:
+    """What `merge` gives: its exit status, stdout, stderr and the two files it writes."""
+    written = [out / "merge_report.txt", out / "certificate.txt"]
+    for path in written:
+        path.unlink(missing_ok=True)
+    capsys.readouterr()
+    code = run_cli("merge", formula, out)
+    return (code, *capsys.readouterr(), *[path.read_bytes() if path.exists() else None for path in written])
+
+
+def test_merge_checks_plan_csv_by_its_bytes_as_the_full_parse_would(monkeypatch, tmp_path, capsys):
+    """A plan.csv as split writes it takes merge's byte check; for it and
+    for every edited copy, merge gives what reading and verifying the file
+    entry by entry gives."""
+    rng = random.Random(20261020)
+    fig1, triple = intsplits.parse(FIG1_TEXT), intsplits.parse(TRIPLE_19_TEXT)
+    cases = [(fig1, 2), (fig1, 4), (triple, 6), (triple, 10)]
+    for _ in range(40):
+        formula, chosen = correct_pipeline_case(rng, max_vars=10)
+        cases.append((formula, chosen.requested_depth))
+    merged = {"listed": 0, "mutants": 0}
+    listed_plan = cli._listed_plan
+    for at, (formula, depth) in enumerate(cases):
+        source = tmp_path / f"case{at}.qdimacs"
+        source.write_text(intsplits.write(formula))
+        for mode in intsplits.SplitMode:
+            try:
+                chosen = intsplits.plan(formula, depth, mode)
+            except intsplits.EmptyPlanError:
+                continue
+            out = tmp_path / f"case{at}-{mode.value}"
+            out.mkdir()
+            manifest = intsplits.write_manifest(chosen, out)
+            data = manifest.read_bytes()
+            with (out / "results.csv").open("w") as results:
+                results.write("index,result,time_seconds\n")
+                for index in range(intsplits.count_subproblems(chosen)):
+                    results.write(f"{index},{rng.choice(['TRUE', 'FALSE', 'UNKNOWN'])},{rng.random():.6f}\n")
+            assert listed_plan(formula, manifest) == chosen
+            for name, mutant in {"as split writes it": data, **_plan_csv_mutants(data)}.items():
+                manifest.unlink(missing_ok=True)
+                if mutant is not None:
+                    manifest.write_bytes(mutant)
+                checked = _merged(source, out, capsys)
+                monkeypatch.setattr(cli, "_listed_plan", lambda formula, path: None)
+                try:
+                    assert _merged(source, out, capsys) == checked, (at, mode, name)
+                finally:
+                    monkeypatch.setattr(cli, "_listed_plan", listed_plan)
+                if mutant == data:
+                    assert checked[0] == 0
+                    merged["listed"] += 1
+                else:
+                    assert mutant is not None or checked[0] == 1
+                    merged["mutants"] += 1
+    assert merged["listed"] == 88 and merged["mutants"] > 88 * 15, merged
+
+
+def test_run_writes_results_rows_as_csv_writer_does(fig1, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    assert run_cli("split", fig1, "--depth", 4, "--no-intsplits", "--out", out) == 0
+    combos = [
+        intsplits.ResultTuple(code, seconds)
+        for code in intsplits.ResultCode
+        for seconds in (0, 1e-7, 59.9999996, 1e6)
+    ]
+    outcomes = dict(enumerate(combos + combos[:4]))  # one per task of the plain split's 16
+
+    def results(tasks, solve, one_by_one, jobs):
+        yield [(index, outcomes[index]) for index in tasks[:5]]
+        yield [(index, outcomes[index]) for index in tasks[5:]]
+
+    def written(rows) -> bytes:
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(RESULTS_HEADER)
+        writer.writerows(result_row(index, result) for index, result in rows)
+        return expected.getvalue().encode()
+
+    monkeypatch.setattr(cli, "_results", results)
+    assert run_cli("run", out) == 0
+    assert (out / "results.csv").read_bytes() == written(outcomes.items())
+    # A resumed run rewrites the rows it keeps when the last one was cut short.
+    (out / "results.csv").write_text("index,result,time_seconds\n3,FALSE,2.5\n0,TRUE,1e-7\n7,UNK")
+    assert run_cli("run", out) == 0
+    kept = [(3, intsplits.ResultTuple(intsplits.ResultCode.FALSE, 2.5))]
+    kept.append((0, intsplits.ResultTuple(intsplits.ResultCode.TRUE, 1e-7)))
+    rest = [(index, outcomes[index]) for index in outcomes if index not in (0, 3)]
+    assert (out / "results.csv").read_bytes() == written(kept + rest)
+
+
+def test_merge_reads_a_log_directory_as_the_rows_it_holds(tmp_path, capsys):
+    formula = tmp_path / "t.qdimacs"
+    formula.write_text(TRIPLE_19_TEXT)
+    out, logs = tmp_path / "out", tmp_path / "logs"
+    assert run_cli("split", formula, "--depth", 10, "--out", out) == 0
+    assert run_cli("run", out, "--jobs", 2) == 0
+    logs.mkdir()
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert len(rows) == 361
+    for row in rows:
+        index, code, seconds = row.split(",")
+        name = f"{int(index):04d}-t.qdimacs.log"
+        (logs / name).write_text(f"c solver chatter\n\nRESULT {code} TIME {seconds}\n  \n")
+    from_rows = _merged(formula, out, capsys)
+    capsys.readouterr()
+    assert run_cli("merge", formula, out, "--results", f"{logs}/") == 0
+    stdout, stderr = capsys.readouterr()
+    assert from_rows[0] == 0
+    assert (stdout, stderr) == from_rows[1:3]
+    assert ((out / "merge_report.txt").read_bytes(), (out / "certificate.txt").read_bytes()) == from_rows[3:]
+    (logs / "0123-t.qdimacs.log").write_text("RESULT TRUE\n")
+    assert run_cli("merge", formula, out, "--results", f"{logs}/") == 1
+    message = f"error: {logs / '0123-t.qdimacs.log'}: last line is not 'RESULT <code> TIME <seconds>'\n"
+    assert capsys.readouterr().err == message

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import random
 
 import pytest
@@ -30,6 +31,7 @@ from intsplits import (
     render_certificate,
     speedup_report,
 )
+from intsplits import merger
 from intsplits.merger import RESULTS_HEADER, parse_result_row, result_row
 
 FALSE, UNKNOWN, TRUE = ResultCode.FALSE, ResultCode.UNKNOWN, ResultCode.TRUE
@@ -285,3 +287,24 @@ def test_result_rows_round_trip(code):
     assert row == f"7,{code.name},12.345678"
     assert parse_result_row(header, "header") is None
     assert parse_result_row(row, "row") == (7, result)
+
+
+def test_a_row_read_at_once_is_what_parse_result_row_reads():
+    """_rows_from_csv reads a row as `run` writes it with one split and a
+    token lookup; every line it reads so gives parse_result_row's row, and
+    every other line is left to parse_result_row."""
+    indices = ["7", " 7", "7 ", "07", "-1", "1_0", "٣", "x", "", "#7", "index"]
+    tokens = [*merger._RESULT_TOKENS, "true", " TRUE", "FALSE ", "MAYBE", "TR�UE", ""]
+    times = ["0.5", " 0.5", "0.5\n", "0.5\r\n", "1e-7", "nan", "inf", "-1", "-0.0", "1e400", "1_0.5", "x", ""]
+    at_once = 0
+    for index, token, seconds in itertools.product(indices, tokens, times):
+        line = f"{index},{token},{seconds}"
+        row = merger._row_as_written(line)
+        if row is not None:
+            assert row == parse_result_row(line, "here"), line
+            at_once += 1
+    assert at_once > 100
+    for result in [ResultTuple(code, t) for code in ResultCode for t in (0, 1e-7, 59.9999996, 1e6)]:
+        line = "%s,%s,%s\r\n" % tuple(result_row(12, result))
+        expected = (12, ResultTuple(result.code, round(result.time, 6)))
+        assert merger._row_as_written(line) == parse_result_row(line, "here") == expected

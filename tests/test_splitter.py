@@ -415,8 +415,36 @@ def test_split_files_are_the_rendering_of_their_expanded_copy(tmp_path):
     assert all(seen.values()), seen
 
 
+def test_one_row_table_renders_files_and_plan_csv_in_both_modes(tmp_path):
+    """In either mode, each file split_formula writes equals
+    write(expanded_copy(...)), and its plan.csv, like write_manifest's, is
+    enumerate_accounted's rows rendered as `var=bit` items, line by line."""
+    rng = random.Random(20261020)
+    (tmp_path / "manifest").mkdir()
+    for at in range(300):
+        formula, depth = _render_case(rng), rng.randint(1, 6)
+        for mode in SplitMode:
+            try:
+                chosen = plan(formula, depth, mode)
+            except EmptyPlanError:
+                continue
+            out = tmp_path / f"case{at}-{mode.value}"
+            paths = split_formula(formula, chosen, out, "f.cnf")
+            expansions = list(enumerate_accounted(chosen))
+            assert len(paths) == len(expansions)
+            for path, expansion in zip(paths, expansions):
+                assert path.read_bytes() == write(expanded_copy(formula, expansion)).encode()
+            rows = "".join(
+                f"{e.index},{';'.join(f'{abs(lit)}={int(lit > 0)}' for lit in e.literals)}\r\n"
+                for e in expansions
+            )
+            expected = f"# mode={mode.value} depth={depth}\r\nindex,assignment\r\n{rows}".encode()
+            assert (out / "plan.csv").read_bytes() == expected
+            assert write_manifest(chosen, tmp_path / "manifest").read_bytes() == expected
+
+
 def test_split_renders_the_formula_once(monkeypatch, tmp_path):
-    calls = {"expanded_copy": 0, "write": 0, "enumerate_accounted": 0}
+    calls = {"expanded_copy": 0, "write": 0, "_row_table": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -429,10 +457,10 @@ def test_split_renders_the_formula_once(monkeypatch, tmp_path):
 
     counted(splitter, "expanded_copy")
     counted(qdimacs, "write")
-    counted(splitter, "enumerate_accounted")
+    counted(splitter, "_row_table")
     paths = split_formula(TRIPLE_19, plan(TRIPLE_19, 10), tmp_path, "t.qdimacs")
     assert len(paths) == 361
-    assert calls == {"expanded_copy": 1, "write": 1, "enumerate_accounted": 1}
+    assert calls == {"expanded_copy": 1, "write": 1, "_row_table": 1}
 
 
 def _outcome(read):
