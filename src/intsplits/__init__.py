@@ -53,7 +53,6 @@ from .splitter import (
     sorted_annotations,
     split_formula,
     subproblem_files,
-    subproblem_index,
     subproblem_name,
     verify_manifest,
     write_manifest,

@@ -29,14 +29,13 @@ from itertools import islice
 from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from subprocess import DEVNULL
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import qdimacs
 from .errors import BudgetExceededError, IntsplitsError
 from .evaluator import check_correctness, evaluate, evaluate_with_intsplits
 from .formula import Formula
 from .merger import (
-    RESULTS_HEADER,
     ResultCode,
     TIME_MODELS,
     ResultTuple,
@@ -45,8 +44,9 @@ from .merger import (
     ingest,
     merge,
     render_certificate,
-    result_row,
     _by_index,
+    _results_text,
+    _row_lines,
     _rows_from_csv,
     _summary,
 )
@@ -62,6 +62,7 @@ from .splitter import (
     split_formula,
     verify_manifest,
     _listed_plan,
+    _replace_file,
     _subproblem_paths,
     _subproblem_reader,
 )
@@ -343,12 +344,6 @@ def _manifest(directory: Path) -> Manifest:
         ) from None
 
 
-def _row_lines(rows: Iterable[tuple[int, ResultTuple]]) -> str:
-    """results.csv's lines for `rows`, as csv.writer writes `result_row`'s
-    fields: CRLF line ends, and no field that needs quoting."""
-    return "".join(["%s,%s,%s\r\n" % tuple(result_row(index, result)) for index, result in rows])
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     directory = Path(args.dir)
     manifest = _manifest(directory)
@@ -379,10 +374,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if torn or not exists:
         # Write the header and the kept rows beside the file and swap it in,
         # so no kill can lose a finished result.
-        scratch = results_path.with_name(RESULTS_NAME + ".tmp")
-        with scratch.open("w", newline="") as handle:
-            handle.write(",".join(RESULTS_HEADER) + "\r\n" + _row_lines(done.items()))
-        os.replace(scratch, results_path)
+        _replace_file(results_path, [_results_text(done.items()).encode()])
     read = None
     if pending and not args.solver:  # parse the shared head and prepare its search once, before the fork
         read = _subproblem_reader([(files[index], entries[index].literals) for index in pending])

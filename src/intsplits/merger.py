@@ -117,36 +117,61 @@ def result_row(index: int, result: ResultTuple) -> list:
     return [index, result.code.name, f"{result.time:.6f}"]
 
 
+def _row_lines(rows: Iterable[tuple[int, ResultTuple]]) -> str:
+    """results.csv's lines for `rows`, as csv.writer writes `result_row`'s
+    fields: CRLF line ends, and no field that needs quoting."""
+    return "".join(["%s,%s,%s\r\n" % tuple(result_row(index, result)) for index, result in rows])
+
+
+def _results_text(rows: Iterable[tuple[int, ResultTuple]]) -> str:
+    """A whole results.csv: the header line, then `_row_lines(rows)`."""
+    return ",".join(RESULTS_HEADER) + "\r\n" + _row_lines(rows)
+
+
 def parse_result_row(line: str, where: str) -> tuple[int, ResultTuple] | None:
     """One `index,result,time_seconds` row of a results CSV; None for blank,
     comment and header lines.  `where` prefixes error messages."""
-    line = line.strip()
-    if not line or line.startswith("#") or line.lower().startswith("index"):
-        return None
-    parts = [p.strip() for p in line.split(",")]
-    if len(parts) != 3:
-        raise UnparsableRowError(f"{where}: expected 'index,result,time_seconds'")
+    # A blank, comment or header line has no index that `int` reads, and
+    # `int` skips the whitespace around one as `strip` does, except the
+    # separators \x1c-\x1f; so a row as `run` writes it is split only once.
+    fields = line.split(",")
     try:
-        index = int(parts[0])
+        index = int(fields[0])
     except ValueError:
-        raise UnparsableRowError(f"{where}: bad index {parts[0]!r}") from None
-    code = _parse_token_at(parts[1], where)
-    seconds = _parse_time_at(parts[2], where)
-    return index, ResultTuple(code, seconds)
+        line = line.strip()
+        if not line or line.startswith("#") or line.lower().startswith("index"):
+            return None
+        index = None
+    if len(fields) != 3:
+        raise UnparsableRowError(f"{where}: expected 'index,result,time_seconds'")
+    if index is None:
+        try:
+            index = int(fields[0].strip())
+        except ValueError:
+            raise UnparsableRowError(f"{where}: bad index {fields[0].strip()!r}") from None
+    code = _RESULT_TOKENS.get(fields[1])
+    if code is None:
+        code = _parse_token_at(fields[1].strip(), where)
+    return index, ResultTuple(code, _parse_time_at(fields[2].strip(), where))
 
 
 def _rows_from_csv(path: Path, torn: list[str] | None = None) -> Iterator[tuple[str, int, ResultTuple]]:
     """A results CSV's rows in file order, each with its `path: line N`.
-    A row that does not parse is an error; with `torn`, as `run` asks, it is
-    skipped and its place appended there, as is a last line without a line
-    break, which an appended row would extend."""
+    A row that does not parse is an error.  With `torn`, as `run` asks, it
+    is skipped and its place appended there, as is a line without the line
+    feed that ends each row `run` writes (a row that a kill cut short, even
+    where what is left parses) and an empty file (which needs a header)."""
     # A byte that is not UTF-8 becomes U+FFFD and fails the row's parse.
-    last = ""
-    with path.open(errors="replace") as handle:
-        for line_no, last in enumerate(handle, start=1):
-            where = f"{path}: line {line_no}"
+    # Lines keep their own ends, so a row cut after its CR is cut short too.
+    line, at = "", f"{path}: line "  # formatting `path` once per file, not per row
+    with path.open(newline="", errors="replace") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            where = f"{at}{line_no}"
+            if torn is not None and not line.endswith("\n"):
+                torn.append(where)
+                continue
             try:
-                row = _row_as_written(last) or parse_result_row(last, where)
+                row = parse_result_row(line, where)
             except UnparsableRowError:
                 if torn is None:
                     raise
@@ -154,23 +179,8 @@ def _rows_from_csv(path: Path, torn: list[str] | None = None) -> Iterator[tuple[
                 continue
             if row is not None:
                 yield where, *row
-    if torn is not None and not last.endswith("\n"):
-        torn.append(f"{path}: end")
-
-
-def _row_as_written(line: str) -> tuple[int, ResultTuple] | None:
-    """What parse_result_row gives for a row as `run` writes it, with an
-    exact result token and valid numbers (which `int` and `float` read
-    whatever whitespace is around them); None for any other line."""
-    fields = line.split(",")
-    if len(fields) == 3 and fields[1] in _RESULT_TOKENS:
-        try:
-            index, seconds = int(fields[0]), float(fields[2])
-        except ValueError:
-            return None
-        if math.isfinite(seconds) and seconds >= 0:
-            return index, ResultTuple(_RESULT_TOKENS[fields[1]], seconds)
-    return None
+    if torn is not None and not line:
+        torn.append(f"{path}: empty")
 
 
 def _parse_token_at(token: str, where: str) -> ResultCode:

@@ -44,7 +44,7 @@ from enum import Enum
 from itertools import chain, groupby, product
 from math import prod
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BlockMismatchError, EmptyPlanError, FormulaError, IntsplitsError, MergeError
 from .formula import (
@@ -72,7 +72,6 @@ __all__ = [
     "count_without_intsplits",
     "enumerate_accounted",
     "subproblem_name",
-    "subproblem_index",
     "subproblem_files",
     "expanded_copy",
     "emit_subproblem",
@@ -84,7 +83,6 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "plan.csv"
-_INDEX_PREFIX = re.compile(r"^(\d+)-")
 _SETTINGS = re.compile(r"# mode=(intsplit|plain) depth=([1-9][0-9]*)")
 
 
@@ -215,12 +213,6 @@ def subproblem_name(index: int, count: int, original_name: str) -> str:
     return f"{index:0{pad}d}-{original_name}"
 
 
-def subproblem_index(name: str) -> int | None:
-    """Index that subproblem_name put in front of a file name, or None."""
-    match = _INDEX_PREFIX.match(name)
-    return int(match.group(1)) if match else None
-
-
 def subproblem_files(directory: str | Path, count: int) -> dict[int, Path]:
     """The files of one split of `count` sub-problems in `directory`, by
     index, in directory order: those named `subproblem_name(index, count,
@@ -344,6 +336,19 @@ def _write_file(path: str | Path, data: bytes, force: bool) -> None:
         os.close(fd)
 
 
+def _replace_file(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write `chunks` to `path.tmp` and move it over `path`, so that a reader
+    sees the old file or the new one; a failed write leaves no `path.tmp`."""
+    scratch = path.with_name(path.name + ".tmp")
+    try:
+        with scratch.open("wb") as handle:
+            handle.writelines(chunks)
+        os.replace(scratch, path)
+    except BaseException:
+        scratch.unlink(missing_ok=True)
+        raise
+
+
 def _read_file(path: str | Path) -> bytes:
     """The bytes of the file at `path`, read with raw `os` calls."""
     fd = os.open(path, os.O_RDONLY)
@@ -376,18 +381,11 @@ def split_formula(
     text = qdimacs.write(expanded_copy(formula, first)).encode()
     head = text.removesuffix(b"".join([vector[0] for vector in units]))
     manifest = out_dir / MANIFEST_NAME
-    scratch = manifest.with_name(MANIFEST_NAME + ".tmp")
     manifest.unlink(missing_ok=True)
     prefix = _path_prefix(out_dir)
     for name, row in zip(names, product(*units)):
         _write_file(prefix + name, head + b"".join(row), force)
-    try:
-        with scratch.open("wb") as plan_file:
-            plan_file.writelines(_manifest_lines(split_plan, items))
-    except BaseException:
-        scratch.unlink(missing_ok=True)
-        raise
-    os.replace(scratch, manifest)
+    _replace_file(manifest, _manifest_lines(split_plan, items))
     return [out_dir / name for name in names]
 
 

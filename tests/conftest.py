@@ -8,6 +8,7 @@ as oracles.
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
 import os
 import random
@@ -26,6 +27,9 @@ from intsplits import (
     Matrix,
     QuantifierBlock,
     QuantifierKind,
+    ResultCode,
+    ResultTuple,
+    UnparsableRowError,
     check_correctness,
 )
 
@@ -99,6 +103,41 @@ def reference_subproblem_files(directory, count: int):
     original = min(by_original, key=lambda name: (len(name), name))
     others = sorted(name for name in by_original if not name.startswith(original))
     return (original, others[0]) if others else by_original[original]
+
+
+_REFERENCE_TOKENS = {
+    **dict.fromkeys(("SAT", "TRUE", "10"), ResultCode.TRUE),
+    **dict.fromkeys(("UNSAT", "FALSE", "20"), ResultCode.FALSE),
+    **dict.fromkeys(("UNKNOWN", "TIMEOUT", "0"), ResultCode.UNKNOWN),
+}
+
+
+def reference_result_row(line: str, where: str):
+    """The row, None or error of one results CSV line, which
+    `merger.parse_result_row` must match: strip the line, skip blank,
+    comment and header lines, split it into three stripped fields and read
+    each one in turn."""
+    line = line.strip()
+    if not line or line.startswith("#") or line.lower().startswith("index"):
+        return None
+    parts = [p.strip() for p in line.split(",")]
+    if len(parts) != 3:
+        raise UnparsableRowError(f"{where}: expected 'index,result,time_seconds'")
+    try:
+        index = int(parts[0])
+    except ValueError:
+        raise UnparsableRowError(f"{where}: bad index {parts[0]!r}") from None
+    try:
+        code = _REFERENCE_TOKENS[parts[1].strip().upper()]
+    except KeyError:
+        raise UnparsableRowError(f"{where}: unknown result token {parts[1]!r}") from None
+    try:
+        seconds = float(parts[2])
+    except ValueError:
+        raise UnparsableRowError(f"{where}: bad time {parts[2]!r}") from None
+    if not math.isfinite(seconds) or seconds < 0:
+        raise UnparsableRowError(f"{where}: time must be finite and non-negative")
+    return index, ResultTuple(code, seconds)
 
 
 def reference_accounted(constraints, bits: tuple[int, ...]) -> bool:

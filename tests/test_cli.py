@@ -764,10 +764,11 @@ def test_run_keeps_exactly_the_result_rows_merge_reads(text, fig1, tmp_path, cap
     out = tmp_path / "out"
     assert run_cli("split", fig1, "--depth", 4, "--out", out) == 0
     (out / "results.csv").write_bytes(text)
+    # The rows of whole lines: a last line with no line break is cut short.
     readable = {}
     for line_no, line in enumerate(text.decode(errors="replace").splitlines(keepends=True), start=1):
         with contextlib.suppress(intsplits.UnparsableRowError):
-            if row := intsplits.merger.parse_result_row(line, f"line {line_no}"):
+            if line.endswith("\n") and (row := intsplits.merger.parse_result_row(line, f"line {line_no}")):
                 readable[row[0]] = row[1]
     capsys.readouterr()
     assert run_cli("run", out) == 0
@@ -776,6 +777,49 @@ def test_run_keeps_exactly_the_result_rows_merge_reads(text, fig1, tmp_path, cap
     table = intsplits.ingest(out / "results.csv", intsplits.plan(intsplits.parse_file(fig1), 4))
     assert {index: table.tuples[index] for index in readable} == readable
     assert run_cli("merge", fig1, out) == 0
+
+
+def test_run_reruns_a_last_row_cut_at_any_byte(tmp_path, capsys):
+    formula = tmp_path / "f.qdimacs"
+    formula.write_text("cs int [1 2 3] <6\np cnf 4 2\ne 1 2 3 0\na 4 0\n1 4 0\n-2 -4 3 0\n")
+    out = tmp_path / "out"
+    assert run_cli("split", formula, "--depth", 3, "--out", out) == 0
+    assert run_cli("run", out) == 0
+    results = out / "results.csv"
+    *kept, last = results.read_bytes().splitlines(keepends=True)
+    assert last.endswith(b"\r\n")
+    for cut in range(len(last)):
+        results.write_bytes(b"".join(kept) + last[:cut])
+        capsys.readouterr()
+        assert run_cli("run", out) == 0
+        assert "ran 1 tasks" in capsys.readouterr().err, cut
+        *rows, rerun = results.read_bytes().splitlines(keepends=True)
+        assert rows == kept, cut
+        assert rerun.split(b",")[0] == last.split(b",")[0], cut
+
+
+def _files_of_at_most_40_bytes() -> None:
+    resource.setrlimit(resource.RLIMIT_FSIZE, (40, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+
+def test_a_failed_rewrite_of_results_leaves_no_scratch_file(fig1, tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("split", fig1, "--depth", 4, "--out", out) == 0
+    results = out / "results.csv"
+    results.write_text("index,result,time_seconds\n0,TRUE,0.5\n1,FALSE,0.25\n2,TR")
+    before = results.read_bytes()
+    # The rewrite's header and two rows are 62 bytes; a process allowed
+    # files of 40 bytes fails that write with EFBIG.
+    env = {**os.environ, "PYTHONPATH": str(Path(intsplits.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-B", "-m", "intsplits.cli", "run", str(out)],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=_files_of_at_most_40_bytes,
+    )
+    assert (done.returncode, done.stdout) == (1, ""), done.stderr
+    assert done.stderr.startswith("resuming: 2 results present, 7 tasks left\nio error: ")
+    assert "File too large" in done.stderr
+    assert not (out / "results.csv.tmp").exists()
+    assert results.read_bytes() == before
 
 
 @pytest.mark.parametrize(
@@ -924,8 +968,8 @@ def test_an_error_in_the_result_loop_ends_every_worker(fig1, tmp_path, monkeypat
         written.append(index)
         return row_of(index, result)
 
-    row_of = cli.result_row
-    monkeypatch.setattr(cli, "result_row", write_three_rows)
+    row_of = intsplits.merger.result_row
+    monkeypatch.setattr(intsplits.merger, "result_row", write_three_rows)
     # A SIGTERM handler that exits, as a calling program may install; the
     # workers inherit it with the fork.
     previous = signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))

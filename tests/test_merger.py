@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from conftest import A, E, correct_pipeline_case
+from conftest import A, E, correct_pipeline_case, reference_result_row
 from intsplits import (
     DuplicateResultError,
     MergeError,
@@ -289,22 +289,35 @@ def test_result_rows_round_trip(code):
     assert parse_result_row(row, "row") == (7, result)
 
 
-def test_a_row_read_at_once_is_what_parse_result_row_reads():
-    """_rows_from_csv reads a row as `run` writes it with one split and a
-    token lookup; every line it reads so gives parse_result_row's row, and
-    every other line is left to parse_result_row."""
+def _outcome(parse, line):
+    try:
+        return parse(line, "here")
+    except UnparsableRowError as exc:
+        return type(exc), str(exc)
+
+
+def test_parse_result_row_is_the_reference_rule():
+    """On every line, parse_result_row gives what reference_result_row
+    gives: the same value, or an error of the same class and message."""
     indices = ["7", " 7", "7 ", "07", "-1", "1_0", "٣", "x", "", "#7", "index"]
-    tokens = [*merger._RESULT_TOKENS, "true", " TRUE", "FALSE ", "MAYBE", "TR�UE", ""]
+    tokens = [*merger._RESULT_TOKENS, "true", " TRUE", "FALSE ", "MAYBE", "TR\ufffdUE", ""]
     times = ["0.5", " 0.5", "0.5\n", "0.5\r\n", "1e-7", "nan", "inf", "-1", "-0.0", "1e400", "1_0.5", "x", ""]
-    at_once = 0
-    for index, token, seconds in itertools.product(indices, tokens, times):
-        line = f"{index},{token},{seconds}"
-        row = merger._row_as_written(line)
-        if row is not None:
-            assert row == parse_result_row(line, "here"), line
-            at_once += 1
-    assert at_once > 100
-    for result in [ResultTuple(code, t) for code in ResultCode for t in (0, 1e-7, 59.9999996, 1e6)]:
-        line = "%s,%s,%s\r\n" % tuple(result_row(12, result))
-        expected = (12, ResultTuple(result.code, round(result.time, 6)))
-        assert merger._row_as_written(line) == parse_result_row(line, "here") == expected
+    lines = [",".join(fields) for fields in itertools.product(indices, tokens, times)]
+    assert len(lines) == 2145
+    rows = [ResultTuple(code, t) for code in ResultCode for t in (0, 1e-7, 59.9999996, 1e6)]
+    as_written = ["%s,%s,%s" % tuple(result_row(12, result)) for result in rows]
+    lines += [line + end for line in as_written for end in ("", "\n", "\r\n", "\r")]
+    lines += [
+        "", "\n", "\r\n", " \t\n", "\u2003\n", "\x1c", "#", "# 7,TRUE,0.5\n", "  # note\r\n",
+        "index,result,time_seconds\r\n", "INDEX,RESULT\n", " Index\n", "indexes,TRUE,1\n",
+        "  7 , TRUE , 0.5  \r\n", "\u20037\u2003,\u2003TRUE\u2003,\u20030.5\u2003\n",
+        "\x1c7,TRUE,0.5\x1c", "7\x1d,TRUE\x1e,\x1f0.5",
+        "7", "7,TRUE", "7,TRUE,0.5,", "7,TRUE,0.5,1\n", ",,", ",,,", "x,TRUE", "7,MAYBE,x,1",
+        "7,,0.5", "7,TRUE,", "1" * 5000 + ",TRUE,0.5", "7,TRUE," + "1" * 400,
+    ]
+    outcomes = [_outcome(parse_result_row, line) for line in lines]
+    for line, outcome in zip(lines, outcomes):
+        assert outcome == _outcome(reference_result_row, line), repr(line)
+    assert sum(isinstance(outcome[1], ResultTuple) for outcome in outcomes if outcome) > 100
+    for result, line in zip(rows, as_written):
+        assert parse_result_row(line + "\r\n", "here") == (12, ResultTuple(result.code, round(result.time, 6)))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import sys
 from pathlib import Path
@@ -29,6 +30,58 @@ def test_exported_names_resolve_and_are_declared():
             if not alias.name.startswith("_") and alias.name not in module.__all__
         ]
         assert not undeclared, f"intsplits imports {undeclared} missing from {node.module}.__all__"
+
+
+# The package's public names.  Removing one is a deliberate change of the
+# API, made by editing this list and recorded in CHANGES.md.  Names marked
+# "perfbench" are ones that perfbench/ calls or wraps, and they stay
+# while it does, whether or not the library calls them.
+PUBLIC_NAMES = {
+    # errors
+    "AmbiguousImplicitError", "BlockMismatchError", "BudgetExceededError",
+    "DimacsModeViolationError", "DuplicateResultError", "EmptyPlanError", "FormulaError",
+    "IntsplitsError", "InvalidAnnotationError", "MalformedHeaderError", "MergeError",
+    "MissingResultError", "ParseError", "PatternWidthMismatchError", "UnknownVariableError",
+    "UnparsableRowError",
+    # formula
+    "AnnotatedQuantifier",  # perfbench
+    "AnnotationCursor", "BitVectorVar", "Constraint",
+    "Formula",  # perfbench
+    "Greater", "InSet", "Less", "Matrix", "QuantifierBlock", "QuantifierKind", "Top",
+    "accounted_values",  # perfbench
+    "bits_of", "integer_value", "literals_of",
+    # qdimacs
+    "SourceDocument",
+    "parse", "parse_file", "write",  # perfbench
+    # splitter
+    "ExpansionIndex", "Manifest", "SplitMode", "SplitPlan",
+    "count_subproblems",  # perfbench
+    "count_without_intsplits",
+    "emit_subproblem", "enumerate_accounted", "expanded_copy", "plan", "read_manifest",  # perfbench
+    "sorted_annotations",
+    "split_formula",  # perfbench
+    "subproblem_files", "subproblem_name",
+    "verify_manifest", "write_manifest",  # perfbench
+    # merger
+    "MergeReport", "ResultCode", "ResultTable", "ResultTuple", "format_flat_report",
+    "ingest", "merge",  # perfbench
+    "parse_result_token", "reduce_level",
+    "render_certificate", "speedup_report",  # perfbench
+    # evaluator
+    "CorrectnessVerdict", "EvalBudget",
+    "check_correctness", "evaluate",  # perfbench
+    "evaluate_with_intsplits",
+}
+
+
+def test_the_public_names_are_the_listed_ones():
+    public = {
+        name
+        for name, value in vars(intsplits).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert sorted(public - PUBLIC_NAMES) == [], "new public names: add them to PUBLIC_NAMES"
+    assert sorted(PUBLIC_NAMES - public) == [], "removed public names: take them out of PUBLIC_NAMES"
 
 
 def test_modules_import_only_the_standard_library_and_intsplits():

@@ -41,7 +41,6 @@ from intsplits import (
     sorted_annotations,
     split_formula,
     subproblem_files,
-    subproblem_index,
     subproblem_name,
     verify_manifest,
     write,
@@ -226,13 +225,6 @@ def test_subproblem_files_keeps_the_name_rule(tmp_path):
             seen["files"] += bool(found)
             seen["skipped"] += len(found) < len(os.listdir(directory))
     assert all(seen.values()), seen
-
-
-def test_subproblem_index_inverts_subproblem_name():
-    for index, count in [(0, 1), (3, 9), (12345, 32768)]:
-        assert subproblem_index(subproblem_name(index, count, "f-1.qdimacs")) == index
-    assert subproblem_index("plan.csv") is None
-    assert subproblem_index("-1-f.qdimacs") is None
 
 
 def test_emit_fig1_subproblems(tmp_path):
