@@ -39,7 +39,6 @@ from .formula import (
 )
 from .qdimacs import SourceDocument, parse, parse_file, write
 from .splitter import (
-    ExpansionIndex,
     Manifest,
     SplitMode,
     SplitPlan,
@@ -52,7 +51,6 @@ from .splitter import (
     read_manifest,
     sorted_annotations,
     split_formula,
-    subproblem_files,
     subproblem_name,
     verify_manifest,
     write_manifest,

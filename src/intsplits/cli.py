@@ -45,6 +45,7 @@ from .merger import (
     merge,
     render_certificate,
     _by_index,
+    _count_text,
     _results_text,
     _row_lines,
     _rows_from_csv,
@@ -113,7 +114,7 @@ def _plan_summary(split_plan: SplitPlan) -> str:
     return (
         f"mode={split_plan.mode.value} requested_depth={split_plan.requested_depth} "
         f"effective_depth={split_plan.effective_depth}\n"
-        f"subproblems: with={with_count} without={without_count} "
+        f"subproblems: with={_count_text(with_count)} without={_count_text(without_count)} "
         f"ratio={with_count / without_count:.4f}"
     )
 
@@ -377,10 +378,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         _replace_file(results_path, [_results_text(done.items()).encode()])
     read = None
     if pending and not args.solver:  # parse the shared head and prepare its search once, before the fork
-        read = _subproblem_reader([(files[index], entries[index].literals) for index in pending])
+        read = _subproblem_reader([(files[index], entries[index]) for index in pending])
 
     def solve(index: int) -> ResultTuple:
-        return _solve(files[index], entries[index].literals, read, args.solver, args.timeout)
+        return _solve(files[index], entries[index], read, args.solver, args.timeout)
 
     batches = _results(pending, solve, bool(args.solver), args.jobs)
     unknown = 0

@@ -42,16 +42,14 @@ __all__ = [
     "check_correctness",
 ]
 
-_DEADLINE_CHECK_INTERVAL = 256
-
-
 @dataclass(frozen=True)
 class EvalBudget:
     """Limits for the exponential recursion.
 
     max_variables caps the quantified variables of a formula; None lifts
     the cap.  deadline is an absolute time.monotonic() timestamp; it is
-    polled at the first recursion step and at every 256th after it.
+    polled at every recursion step, whose `simplify` calls can each walk a
+    wide matrix.
     """
 
     max_variables: int | None = 25
@@ -120,17 +118,9 @@ def _prepared(
     first_plain = len(annotations)
 
     def search(clauses: tuple[tuple[int, ...], ...], deadline: float | None) -> bool:
-        nodes = 0
-
         def descend(clauses: tuple[tuple[int, ...], ...], depth: int) -> bool:
             # Every clause here is part of a clause of the validated input matrix.
-            nonlocal nodes
-            nodes += 1
-            if (
-                deadline is not None
-                and (nodes == 1 or nodes % _DEADLINE_CHECK_INTERVAL == 0)
-                and time.monotonic() > deadline
-            ):
+            if deadline is not None and time.monotonic() > deadline:
                 raise BudgetExceededError("evaluation deadline exceeded")
             # A universal unit, whose other value empties its clause, or a
             # complementary pair ends the node; existential ones propagate.

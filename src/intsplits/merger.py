@@ -202,7 +202,7 @@ def _parse_time_at(token: str, where: str) -> float:
 
 def _rows_from_logs(directory: Path, count: int) -> Iterator[tuple[str, int, ResultTuple]]:
     # One log file per sub-problem, named like the sub-problem itself plus
-    # one suffix (the rule of subproblem_files); the last non-empty line must
+    # one suffix (the rule of _subproblem_paths); the last non-empty line must
     # be `RESULT <code> TIME <s>`.
     for index, path in sorted(_subproblem_paths(directory, count).items()):
         last = ""
@@ -366,7 +366,19 @@ def _summary(table: ResultTable, final: ResultTuple, sequential_time: float | No
 
 
 def format_flat_report(report: dict[str, object]) -> str:
-    return "\n".join(f"{key}={value}" for key, value in report.items()) + "\n"
+    return "\n".join(f"{key}={_count_text(value)}" for key, value in report.items()) + "\n"
+
+
+def _count_text(value: object) -> str:
+    """`str(value)`, or `2^k` for a power of two too long for Python to
+    convert to decimal (4,300 digits by default), such as the sub-problem
+    count of a plain split of 14,285 or more variables."""
+    try:
+        return str(value)
+    except ValueError:
+        if value & (value - 1):  # not a power of two
+            raise
+        return f"2^{value.bit_length() - 1}"
 
 
 def _format_tuple(result: ResultTuple) -> str:

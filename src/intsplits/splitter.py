@@ -65,14 +65,12 @@ from . import evaluator, qdimacs
 __all__ = [
     "SplitMode",
     "SplitPlan",
-    "ExpansionIndex",
     "sorted_annotations",
     "plan",
     "count_subproblems",
     "count_without_intsplits",
     "enumerate_accounted",
     "subproblem_name",
-    "subproblem_files",
     "expanded_copy",
     "emit_subproblem",
     "split_formula",
@@ -107,19 +105,6 @@ class SplitPlan:
     requested_depth: int
     effective_depth: int
     plain_depth: int
-
-    @property
-    def variables(self) -> tuple[int, ...]:
-        return tuple(v for aq in self.quantifiers for v in aq.bitvector.variables)
-
-
-@dataclass(frozen=True)
-class ExpansionIndex:
-    """One accounted assignment, densely numbered in lexicographic order,
-    as DIMACS literals in plan order (v for true, -v for false)."""
-
-    index: int
-    literals: tuple[int, ...]
 
 
 def sorted_annotations(formula: Formula) -> tuple[AnnotatedQuantifier, ...]:
@@ -174,12 +159,14 @@ def count_without_intsplits(split_plan: SplitPlan) -> int:
     return 1 << split_plan.plain_depth
 
 
-def enumerate_accounted(split_plan: SplitPlan) -> Iterator[ExpansionIndex]:
-    """All accounted assignments, lexicographic over the concatenated
-    bit-vectors in plan order (MSB first, last vector varies fastest)."""
+def enumerate_accounted(split_plan: SplitPlan) -> Iterator[tuple[int, ...]]:
+    """All accounted assignments, each as DIMACS literals in plan order (v
+    for true, -v for false), lexicographic over the concatenated bit-vectors
+    (MSB first, last vector varies fastest); an assignment's index is its
+    position."""
     literals, _, _ = _row_table(split_plan)
-    for index, row in enumerate(product(*literals)):
-        yield ExpansionIndex(index, tuple(chain.from_iterable(row)))
+    for row in product(*literals):
+        yield tuple(chain.from_iterable(row))
 
 
 def _row_table(
@@ -213,21 +200,17 @@ def subproblem_name(index: int, count: int, original_name: str) -> str:
     return f"{index:0{pad}d}-{original_name}"
 
 
-def subproblem_files(directory: str | Path, count: int) -> dict[int, Path]:
+def _subproblem_paths(directory: str | Path, count: int) -> dict[int, str]:
     """The files of one split of `count` sub-problems in `directory`, by
-    index, in directory order: those named `subproblem_name(index, count,
-    original)` for the one original name the split used.
+    index, in directory order, each as the string `str(Path(directory) /
+    name)`: those named `subproblem_name(index, count, original)` for the
+    one original name the split used.
 
     That is the shortest original the names carry.  A file that extends
     it, such as a solver's `{file}.drat` or a log beside its input, is not
     counted; a name with any other original belongs to a second split and
     is an error.
     """
-    return {index: Path(path) for index, path in _subproblem_paths(directory, count).items()}
-
-
-def _subproblem_paths(directory: str | Path, count: int) -> dict[int, str]:
-    """`subproblem_files` with each path a string: `str(Path(directory) / name)`."""
     pad = len(subproblem_name(0, count, "")) - 1
     prefix = _path_prefix(directory)
     by_original: dict[str, dict[int, str]] = {}
@@ -273,11 +256,11 @@ def _aligned_prefix(
     return tuple(kept)
 
 
-def expanded_copy(formula: Formula, expansion: ExpansionIndex) -> Formula:
-    """The sub-problem formula for one accounted assignment."""
-    variables = tuple(abs(lit) for lit in expansion.literals)
+def expanded_copy(formula: Formula, literals: tuple[int, ...]) -> Formula:
+    """The sub-problem formula for one accounted assignment, given as its literals."""
+    variables = tuple(abs(lit) for lit in literals)
     assigned = set(variables)
-    units = tuple((lit,) for lit in expansion.literals)
+    units = tuple((lit,) for lit in literals)
     matrix = Matrix(formula.matrix.clauses + units, formula.matrix.variable_count)
 
     blocks: list[QuantifierBlock] = []
@@ -300,15 +283,17 @@ def expanded_copy(formula: Formula, expansion: ExpansionIndex) -> Formula:
 
 def emit_subproblem(
     formula: Formula,
-    expansion: ExpansionIndex,
+    index: int,
+    literals: tuple[int, ...],
     out_dir: str | Path,
     original_name: str,
     count: int,
     force: bool = False,
 ) -> Path:
-    """Write one sub-problem file; refuses to overwrite unless forced."""
-    path = Path(out_dir) / subproblem_name(expansion.index, count, original_name)
-    text = qdimacs.write(expanded_copy(formula, expansion)).encode()
+    """Write the sub-problem file of assignment `index`, whose literals are
+    `literals`; refuses to overwrite unless forced."""
+    path = Path(out_dir) / subproblem_name(index, count, original_name)
+    text = qdimacs.write(expanded_copy(formula, literals)).encode()
     try:
         _write_file(path, text, force)
     except FileExistsError:
@@ -377,7 +362,7 @@ def split_formula(
     if not force and (taken := set(os.listdir(out_dir)).intersection(names)):
         raise FileExistsError(f"{out_dir / min(taken)} already exists (use force to overwrite)")
     literals, units, items = _row_table(split_plan)
-    first = ExpansionIndex(0, tuple(chain.from_iterable([vector[0] for vector in literals])))
+    first = tuple(chain.from_iterable([vector[0] for vector in literals]))
     text = qdimacs.write(expanded_copy(formula, first)).encode()
     head = text.removesuffix(b"".join([vector[0] for vector in units]))
     manifest = out_dir / MANIFEST_NAME
@@ -450,11 +435,12 @@ def _subproblem_reader(
 
 @dataclass(frozen=True)
 class Manifest:
-    """plan.csv as read: the split's mode and requested depth, and its entries."""
+    """plan.csv as read: the split's mode and requested depth, and its
+    entries, each row's literals, in row order."""
 
     mode: SplitMode
     depth: int
-    entries: tuple[ExpansionIndex, ...]
+    entries: tuple[tuple[int, ...], ...]
 
 
 def write_manifest(split_plan: SplitPlan, out_dir: str | Path) -> Path:
@@ -507,7 +493,7 @@ def _listed_plan(formula: Formula, path: str | Path) -> SplitPlan | None:
 
 
 def read_manifest(path: str | Path) -> Manifest:
-    entries: list[ExpansionIndex] = []
+    entries: list[tuple[int, ...]] = []
     literal_of: dict[str, int] = {}  # each distinct `var=bit` item, checked once
     # A byte that is not UTF-8 becomes U+FFFD and fails its row's parse.
     with Path(path).open(newline="", errors="replace") as handle:
@@ -539,7 +525,7 @@ def read_manifest(path: str | Path) -> Manifest:
                 raise MergeError(f"{path}: row {row_no} is not a valid plan entry") from None
             if index != len(entries):
                 raise MergeError(f"{path}: row {row_no} has index {index}, expected {len(entries)}")
-            entries.append(ExpansionIndex(index, literals))
+            entries.append(literals)
     return Manifest(SplitMode(settings[1]), int(settings[2]), tuple(entries))
 
 
@@ -550,10 +536,10 @@ def verify_manifest(split_plan: SplitPlan, manifest: Manifest) -> None:
         raise MergeError(
             f"manifest lists {len(manifest.entries)} sub-problems but the plan yields {total}"
         )
-    for expected, found in zip(enumerate_accounted(split_plan), manifest.entries):
+    for index, (expected, found) in enumerate(zip(enumerate_accounted(split_plan), manifest.entries)):
         if expected != found:
             raise MergeError(
-                f"manifest entry {found.index} does not match the plan "
-                f"(expected {expected.literals}, found {found.literals}); was the "
+                f"manifest entry {index} does not match the plan "
+                f"(expected {expected}, found {found}); was the "
                 f"directory produced with different split settings?"
             )

@@ -25,7 +25,7 @@ from conftest import (
     quantified_chain,
     reference_value_of_formula,
 )
-from intsplits import cli
+from intsplits import cli, splitter
 from intsplits.cli import main
 from intsplits.merger import RESULTS_HEADER, result_row
 
@@ -110,7 +110,7 @@ def test_pipeline_verdict_equals_the_reference_semantics(mode, tmp_path, capsys)
         assert run_cli("merge", path, out) == 0
         expected = "TRUE" if reference_value_of_formula(formula) else "FALSE"
         assert f"final_result={expected}\n" in capsys.readouterr().out
-        files = intsplits.subproblem_files(out, len(_rows(out)))
+        files = splitter._subproblem_paths(out, len(_rows(out)))
         assert {index: row.split(",")[1] for index, row in _rows(out).items()} == {
             index: "TRUE" if reference_value_of_formula(intsplits.parse_file(file)) else "FALSE"
             for index, file in files.items()
@@ -222,6 +222,31 @@ def test_stats_reports_counts_and_plan(tmp_path, capsys):
     assert "19  13  13/19" in out
     assert "with=6859" in out
     assert "without=32768" in out
+
+
+def test_a_count_too_long_for_decimal_is_written_as_a_power_of_two(tmp_path, capsys):
+    """2^14285, the plain count of a prefix-free file of 20,000 variables at
+    depth 14,285, has 4,301 digits, one past what Python converts to
+    decimal: `stats`, `split` and `merge` write it as `2^14285` and exit 0
+    with every file written, and the 4,300 digits of 2^14284 stay as they are."""
+    path = tmp_path / "wide.cnf"
+    path.write_text("cs int [1 2] <3\np cnf 20000 1\n1 2 0\n")
+    assert run_cli("stats", path, "--depth", 14284, "--no-intsplits") == 0
+    count = str(1 << 14284)
+    assert f"subproblems: with={count} without={count} ratio=1.0000\n" in capsys.readouterr().out
+    assert run_cli("stats", path, "--depth", 14285, "--no-intsplits") == 0
+    assert "subproblems: with=2^14285 without=2^14285 ratio=1.0000\n" in capsys.readouterr().out
+
+    out = tmp_path / "out"
+    assert run_cli("split", path, "--depth", 20000, "--out", out) == 0
+    assert "subproblems: with=3 without=2^20000 ratio=0.0000\n" in capsys.readouterr().err
+    assert run_cli("run", out) == 0
+    capsys.readouterr()
+    assert run_cli("merge", path, out) == 0
+    report = (out / "merge_report.txt").read_text()
+    assert capsys.readouterr().out == report
+    assert "subproblems_with=3\nsubproblems_without=2^20000\nratio=0.0\n" in report
+    assert (out / "certificate.txt").read_text().startswith("time model: paper\n")
 
 
 def test_eval_and_check_commands(tmp_path, capsys):
@@ -1209,6 +1234,26 @@ def test_merge_checks_plan_csv_by_its_bytes_as_the_full_parse_would(monkeypatch,
                     assert mutant is not None or checked[0] == 1
                     merged["mutants"] += 1
     assert merged["listed"] == 88 and merged["mutants"] > 88 * 15, merged
+
+
+def test_merge_names_what_differs_in_an_edited_plan_csv(fig1, tmp_path, capsys):
+    """The messages that `merge` gives for three of `_plan_csv_mutants`,
+    word for word: a changed literal, a skipped row and a reordered row."""
+    out = tmp_path / "out"
+    assert run_cli("split", fig1, "--depth", 4, "--out", out) == 0
+    assert run_cli("run", out) == 0
+    mutants = _plan_csv_mutants((out / "plan.csv").read_bytes())
+    expected = {
+        "other valid literal": (
+            "error: manifest entry 0 does not match the plan (expected (-1, -2, -3, -4), "
+            "found (1, -2, -3, -4)); was the directory produced with different split settings?\n"
+        ),
+        "skipped row": f"error: {out / 'plan.csv'}: row 3 has index 1, expected 0\n",
+        "reordered rows": f"error: {out / 'plan.csv'}: row 3 has index 1, expected 0\n",
+    }
+    for name, message in expected.items():
+        (out / "plan.csv").write_bytes(mutants[name])
+        assert _merged(fig1, out, capsys)[:3] == (1, "", message), name
 
 
 def test_run_writes_results_rows_as_csv_writer_does(fig1, tmp_path, monkeypatch):

@@ -309,6 +309,18 @@ def test_budget_limits():
         evaluate(long, EvalBudget(max_variables=None))
 
 
+def test_a_deadline_ends_a_search_whose_nodes_walk_a_wide_matrix():
+    """Every node of the search of forall x1..x20 exists y z over (x_i or y
+    or z) and 60,000 copies of (y or z) simplifies all 60,020 clauses, so
+    the search must poll its deadline at every node to end near it."""
+    clauses = tuple((x, 21, 22) for x in range(1, 21)) + ((21, 22),) * 60_000
+    formula = Formula(Matrix(clauses, 22), (QuantifierBlock(A, tuple(range(1, 21))), QuantifierBlock(E, (21, 22))))
+    started = time.monotonic()
+    with pytest.raises(BudgetExceededError, match="evaluation deadline exceeded"):
+        evaluate(formula, EvalBudget(None, started + 0.2))
+    assert time.monotonic() - started < 1
+
+
 def _numbered_from_one(formula: Formula, variables: list[int]) -> Formula:
     """The prefix-free formula with `variables` renumbered 1..n in order and
     nothing else declared."""

@@ -264,9 +264,9 @@ def test_merge_agrees_with_oracle_on_random_pipelines(tmp_path):
     for at in range(8):
         formula, chosen = correct_pipeline_case(rng, max_vars=10, max_depth=5)
         rows = ["index,result,time_seconds"]
-        for expansion in enumerate_accounted(chosen):
-            value = evaluate(expanded_copy(formula, expansion))
-            rows.append(f"{expansion.index},{'TRUE' if value else 'FALSE'},1")
+        for index, literals in enumerate(enumerate_accounted(chosen)):
+            value = evaluate(expanded_copy(formula, literals))
+            rows.append(f"{index},{'TRUE' if value else 'FALSE'},1")
         path = tmp_path / f"results{at}.csv"
         path.write_text("\n".join(rows) + "\n")
         final, _ = merge(ingest(path, chosen))

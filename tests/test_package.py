@@ -6,6 +6,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 import sys
 from pathlib import Path
 from typing import Iterator
@@ -54,13 +55,13 @@ PUBLIC_NAMES = {
     "SourceDocument",
     "parse", "parse_file", "write",  # perfbench
     # splitter
-    "ExpansionIndex", "Manifest", "SplitMode", "SplitPlan",
+    "Manifest", "SplitMode", "SplitPlan",
     "count_subproblems",  # perfbench
     "count_without_intsplits",
     "emit_subproblem", "enumerate_accounted", "expanded_copy", "plan", "read_manifest",  # perfbench
     "sorted_annotations",
     "split_formula",  # perfbench
-    "subproblem_files", "subproblem_name",
+    "subproblem_name",
     "verify_manifest", "write_manifest",  # perfbench
     # merger
     "MergeReport", "ResultCode", "ResultTable", "ResultTuple", "format_flat_report",
@@ -82,6 +83,25 @@ def test_the_public_names_are_the_listed_ones():
     }
     assert sorted(public - PUBLIC_NAMES) == [], "new public names: add them to PUBLIC_NAMES"
     assert sorted(PUBLIC_NAMES - public) == [], "removed public names: take them out of PUBLIC_NAMES"
+
+
+# Names taken out of the package.  None may linger as a word in its code or
+# in README.md, where a leftover would describe code that no longer exists.
+REMOVED_NAMES = {"subproblem_index", "ExpansionIndex", "subproblem_files", "_DEADLINE_CHECK_INTERVAL"}
+
+
+def test_removed_names_appear_nowhere_in_the_code_or_the_readme():
+    package = Path(intsplits.__file__).parent
+    readme = package.parents[1] / "README.md"
+    assert readme.is_file()
+    word = re.compile(r"\b(?:%s)\b" % "|".join(sorted(REMOVED_NAMES)))
+    found = [
+        f"{path.name}:{line_no}: {match[0]}"
+        for path in [*sorted(package.glob("*.py")), readme]
+        for line_no, line in enumerate(path.read_text().splitlines(), start=1)
+        for match in word.finditer(line)
+    ]
+    assert not found, f"removed names still named: {found}"
 
 
 def test_modules_import_only_the_standard_library_and_intsplits():

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import itertools
 import os
 import random
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,7 +43,6 @@ from intsplits import (
     read_manifest,
     sorted_annotations,
     split_formula,
-    subproblem_files,
     subproblem_name,
     verify_manifest,
     write,
@@ -58,6 +60,11 @@ FIG1 = parse(
     "cs int [1 2] <3\ncs int [3 4] <3\n"
     "p cnf 4 4\na 1 2 0\ne 3 4 0\n-1 3 0\n1 -3 0\n-2 4 0\n2 -4 0\n"
 )
+
+
+def _variables(chosen) -> tuple[int, ...]:
+    """The variables a plan expands, in plan order."""
+    return tuple(v for aq in chosen.quantifiers for v in aq.bitvector.variables)
 
 
 def test_plan_covers_whole_bitvectors_within_depth():
@@ -136,7 +143,7 @@ def test_enumeration_matches_reference_filter():
         except EmptyPlanError:
             continue
         emitted = list(enumerate_accounted(chosen))
-        variables = chosen.variables
+        variables = _variables(chosen)
         # reference: filter the full expansion over the selected variables
         expected = []
         for bits in itertools.product((0, 1), repeat=len(variables)):
@@ -149,10 +156,9 @@ def test_enumeration_matches_reference_filter():
                     break
             if keep:
                 expected.append(tuple(assignment[v] for v in variables))
-        got = [tuple(int(lit > 0) for lit in e.literals) for e in emitted]
-        assert all(tuple(map(abs, e.literals)) == variables for e in emitted)
+        got = [tuple(int(lit > 0) for lit in literals) for literals in emitted]
+        assert all(tuple(map(abs, literals)) == variables for literals in emitted)
         assert got == expected  # same set and same lexicographic order
-        assert [e.index for e in emitted] == list(range(len(expected)))
         assert len(emitted) == count_subproblems(chosen)
 
 
@@ -174,7 +180,7 @@ def test_subproblem_name_padding():
     assert names == sorted(names)
 
 
-def test_subproblem_files_count_one_split_and_skip_side_files(tmp_path):
+def test_subproblem_paths_count_one_split_and_skip_side_files(tmp_path):
     names = [subproblem_name(index, 3, "f-1.qdimacs") for index in range(3)]
     for name in names:
         (tmp_path / name).write_text("")
@@ -182,10 +188,10 @@ def test_subproblem_files_count_one_split_and_skip_side_files(tmp_path):
     (tmp_path / "00001-f-1.qdimacs").write_text("")  # padded for another count
     (tmp_path / "0003-f-1.qdimacs.log").mkdir()
     (tmp_path / "plan.csv").write_text("")
-    assert subproblem_files(tmp_path, 3) == {i: tmp_path / name for i, name in enumerate(names)}
+    assert splitter._subproblem_paths(tmp_path, 3) == {i: str(tmp_path / name) for i, name in enumerate(names)}
     (tmp_path / "0002-g-1.qdimacs").write_text("")
     with pytest.raises(MergeError, match="of 'f-1.qdimacs' and of 'g-1.qdimacs'; keep one split"):
-        subproblem_files(tmp_path, 3)
+        splitter._subproblem_paths(tmp_path, 3)
 
 
 def test_subproblem_paths_are_the_strings_path_joins(monkeypatch, tmp_path):
@@ -197,8 +203,8 @@ def test_subproblem_paths_are_the_strings_path_joins(monkeypatch, tmp_path):
         assert splitter._subproblem_paths(directory, 1) == {0: str(Path(directory) / "0000-f")}, directory
 
 
-def test_subproblem_files_keeps_the_name_rule(tmp_path):
-    """subproblem_files counts the files the reference counts, in the same
+def test_subproblem_paths_keep_the_name_rule(tmp_path):
+    """_subproblem_paths counts the files the reference counts, in the same
     order, and refuses the same second splits: side files, other paddings,
     indices beyond the count, non-ASCII digits and directories among them."""
     rng = random.Random(20261021)
@@ -217,11 +223,11 @@ def test_subproblem_files_keeps_the_name_rule(tmp_path):
         expected = reference_subproblem_files(directory, count)
         if isinstance(expected, tuple):
             with pytest.raises(MergeError, match=re.escape(f"of {expected[0]!r} and of {expected[1]!r};")):
-                subproblem_files(directory, count)
+                splitter._subproblem_paths(directory, count)
             seen["second split"] += 1
         else:
-            found = subproblem_files(directory, count)
-            assert list(found.items()) == list(expected.items())
+            found = splitter._subproblem_paths(directory, count)
+            assert list(found.items()) == [(index, str(path)) for index, path in expected.items()]
             seen["files"] += bool(found)
             seen["skipped"] += len(found) < len(os.listdir(directory))
     assert all(seen.values()), seen
@@ -239,9 +245,9 @@ def test_emit_fig1_subproblems(tmp_path):
     assert len(sub.matrix.clauses) == 8
     assert sub.annotations == ()
     assert all(block.kind is E for block in sub.prefix)
-    expansion = list(enumerate_accounted(chosen))[3]
+    literals = list(enumerate_accounted(chosen))[3]
     units = list(sub.matrix.clauses[4:])
-    assert units == [(lit,) for lit in expansion.literals]
+    assert units == [(lit,) for lit in literals]
 
 
 def test_emit_partial_plan_keeps_remaining_annotations(tmp_path):
@@ -260,23 +266,21 @@ def test_emit_partial_plan_keeps_remaining_annotations(tmp_path):
 
 
 def test_emit_empty_assignment_is_identity_copy(tmp_path):
-    from intsplits import ExpansionIndex
-
-    path = emit_subproblem(FIG1, ExpansionIndex(0, ()), tmp_path, "fig1.qdimacs", 1)
+    path = emit_subproblem(FIG1, 0, (), tmp_path, "fig1.qdimacs", 1)
     assert path.read_text() == write(FIG1)
 
 
 def test_emit_refuses_overwrite_unless_forced(tmp_path):
     chosen = plan(FIG1, 4)
-    expansion = next(iter(enumerate_accounted(chosen)))
-    path = tmp_path / subproblem_name(expansion.index, 9, "f.qdimacs")
+    literals = next(iter(enumerate_accounted(chosen)))
+    path = tmp_path / subproblem_name(0, 9, "f.qdimacs")
     path.write_bytes(b"earlier\n")
     with pytest.raises(FileExistsError) as refused:
-        emit_subproblem(FIG1, expansion, tmp_path, "f.qdimacs", 9)
+        emit_subproblem(FIG1, 0, literals, tmp_path, "f.qdimacs", 9)
     assert str(refused.value) == f"{path} already exists (use force to overwrite)"
     assert path.read_bytes() == b"earlier\n"
-    assert emit_subproblem(FIG1, expansion, tmp_path, "f.qdimacs", 9, force=True) == path
-    assert path.read_text() == write(expanded_copy(FIG1, expansion))
+    assert emit_subproblem(FIG1, 0, literals, tmp_path, "f.qdimacs", 9, force=True) == path
+    assert path.read_text() == write(expanded_copy(FIG1, literals))
 
 
 def test_forced_split_rewrites_old_files_in_place(tmp_path):
@@ -386,7 +390,7 @@ def test_split_files_are_the_rendering_of_their_expanded_copy(tmp_path):
         out = tmp_path / f"case{at}"
         paths = split_formula(formula, chosen, out, "f.cnf", force=at % 2 == 0)
         expansions = list(enumerate_accounted(chosen))
-        names = [subproblem_name(e.index, len(expansions), "f.cnf") for e in expansions]
+        names = [subproblem_name(index, len(expansions), "f.cnf") for index in range(len(expansions))]
         assert [p.name for p in paths] == names
         assert sorted(p.name for p in out.iterdir()) == sorted([*names, "plan.csv"])
         for path, expansion in zip(paths, expansions):
@@ -395,7 +399,7 @@ def test_split_files_are_the_rendering_of_their_expanded_copy(tmp_path):
         assert (out / "plan.csv").read_bytes() == manifest.read_bytes()
         seen["plain"] += mode is SplitMode.PLAIN
         seen["cut"] += any(
-            0 < len(set(chosen.variables) & set(aq.bitvector.variables)) < aq.width
+            0 < len(set(_variables(chosen)) & set(aq.bitvector.variables)) < aq.width
             for aq in formula.annotations
         )
         seen["dimacs"] += not formula.prefix
@@ -403,7 +407,7 @@ def test_split_files_are_the_rendering_of_their_expanded_copy(tmp_path):
         seen["in-set"] += any(
             isinstance(c, InSet) for aq in formula.annotations for c in aq.constraints
         )
-        seen["no-units"] += not expansions[0].literals
+        seen["no-units"] += not expansions[0]
     assert all(seen.values()), seen
 
 
@@ -427,8 +431,8 @@ def test_one_row_table_renders_files_and_plan_csv_in_both_modes(tmp_path):
             for path, expansion in zip(paths, expansions):
                 assert path.read_bytes() == write(expanded_copy(formula, expansion)).encode()
             rows = "".join(
-                f"{e.index},{';'.join(f'{abs(lit)}={int(lit > 0)}' for lit in e.literals)}\r\n"
-                for e in expansions
+                f"{index},{';'.join(f'{abs(lit)}={int(lit > 0)}' for lit in literals)}\r\n"
+                for index, literals in enumerate(expansions)
             )
             expected = f"# mode={mode.value} depth={depth}\r\nindex,assignment\r\n{rows}".encode()
             assert (out / "plan.csv").read_bytes() == expected
@@ -533,14 +537,14 @@ def test_shared_head_reader_gives_what_parse_file_gives(tmp_path):
         entries = read_manifest(out / "plan.csv").entries
         first = rng.randrange(len(paths)) if at % 2 else 0
         # The head comes from files `first` and `first + 1`, or from `first` alone if it is the last.
-        read = splitter._subproblem_reader([(paths[e.index], e.literals) for e in entries[first:]])
-        for path, entry in zip(paths, entries):
-            assert read(path, entry.literals, None) == _value(path)
+        read = splitter._subproblem_reader(list(zip(paths, entries))[first:])
+        for path, literals in zip(paths, entries):
+            assert read(path, literals, None) == _value(path)
 
         sub = parse_file(paths[first])
         seen["plain"] += mode is SplitMode.PLAIN
         seen["cut"] += any(
-            0 < len(set(chosen.variables) & set(aq.bitvector.variables)) < aq.width
+            0 < len(set(_variables(chosen)) & set(aq.bitvector.variables)) < aq.width
             for aq in formula.annotations
         )
         seen["dimacs"] += not formula.prefix
@@ -550,7 +554,7 @@ def test_shared_head_reader_gives_what_parse_file_gives(tmp_path):
 
         other = out / "other.cnf"
         for target in dict.fromkeys([first, rng.randrange(len(paths))]):
-            text, literals = paths[target].read_bytes(), entries[target].literals
+            text, literals = paths[target].read_bytes(), entries[target]
             for kind, mutant, plan_literals in _mutants(rng, text, literals, parse_file(paths[target])):
                 kinds[kind] = kinds.get(kind, 0) + 1
                 other.write_bytes(mutant)
@@ -581,8 +585,8 @@ def test_short_writes_and_short_reads_lose_no_byte(monkeypatch, tmp_path):
     assert {path.name: path.read_bytes() for path in (tmp_path / "short").iterdir()} == whole
     with monkeypatch.context() as patch:
         patch.setattr(splitter.os, "read", lambda fd, size: read_some(fd, min(size, 7)))
-        read = splitter._subproblem_reader([(path, e.literals) for path, e in zip(paths, entries)])
-        assert [read(path, e.literals, None) for path, e in zip(paths, entries)] == values
+        read = splitter._subproblem_reader(list(zip(paths, entries)))
+        assert [read(path, literals, None) for path, literals in zip(paths, entries)] == values
     big = tmp_path / "big"
     big.write_bytes(bytes(range(256)) * 1000)  # several read chunks
     assert splitter._read_file(big) == bytes(range(256)) * 1000
@@ -593,7 +597,7 @@ def _served(monkeypatch, out):
     the calls to `qdimacs.parse` and to the search preparation it made, and
     each file's value by index."""
     entries = read_manifest(out / "plan.csv").entries
-    paths = subproblem_files(out, len(entries))
+    paths = splitter._subproblem_paths(out, len(entries))
     calls = {"parse": 0, "prepare": 0}
 
     def counted(module, name, key):
@@ -607,8 +611,8 @@ def _served(monkeypatch, out):
 
     counted(qdimacs, "parse", "parse")
     counted(evaluator, "_prepared", "prepare")
-    read = splitter._subproblem_reader([(paths[e.index], e.literals) for e in entries])
-    values = {entry.index: read(paths[entry.index], entry.literals, None) for entry in entries}
+    read = splitter._subproblem_reader([(paths[index], literals) for index, literals in enumerate(entries)])
+    values = {index: read(paths[index], literals, None) for index, literals in enumerate(entries)}
     monkeypatch.undo()
     assert values == {index: _value(path) for index, path in paths.items()}
     return calls, values
@@ -641,11 +645,11 @@ def test_a_matching_task_is_searched_without_unit_clauses(monkeypatch, tmp_path)
     paths = split_formula(TRIPLE_19, chosen, tmp_path / "ten", "t.qdimacs")
     entries = list(enumerate_accounted(chosen))
     received = _recorded_searches(monkeypatch)
-    read = splitter._subproblem_reader([(str(path), e.literals) for path, e in zip(paths, entries)])
-    values = [read(str(path), e.literals, None) for path, e in zip(paths, entries)]
+    read = splitter._subproblem_reader([(str(path), literals) for path, literals in zip(paths, entries)])
+    values = [read(str(path), literals, None) for path, literals in zip(paths, entries)]
     assert len(received) == 361
-    for clauses, entry in zip(received, entries):
-        assert not {(lit,) for lit in entry.literals}.intersection(clauses), entry
+    for clauses, literals in zip(received, entries):
+        assert not {(lit,) for lit in literals}.intersection(clauses), literals
     monkeypatch.undo()
     assert values == [_value(path) for path in paths]
 
@@ -653,14 +657,14 @@ def test_a_matching_task_is_searched_without_unit_clauses(monkeypatch, tmp_path)
     chosen = plan(TRIPLE_19, 5)
     paths = split_formula(TRIPLE_19, chosen, tmp_path / "five", "t.qdimacs")
     entries = list(enumerate_accounted(chosen))
-    read = splitter._subproblem_reader([(str(path), e.literals) for path, e in zip(paths, entries)])
+    read = splitter._subproblem_reader([(str(path), literals) for path, literals in zip(paths, entries)])
     parses, parse_text = [], qdimacs.parse
     monkeypatch.setattr(qdimacs, "parse", lambda *args: parses.append(args) or parse_text(*args))
     other = tmp_path / "other.qdimacs"
     rng = random.Random(20261022)
     reached = dict.fromkeys(["complementary units", "universal unit", "repeated unit"], 0)
     for path, entry in zip(paths, entries):
-        for kind, mutant, literals in _mutants(rng, path.read_bytes(), entry.literals, parse_file(path)):
+        for kind, mutant, literals in _mutants(rng, path.read_bytes(), entry, parse_file(path)):
             if kind in reached:
                 other.write_bytes(mutant)
                 del parses[:]
@@ -700,7 +704,7 @@ def test_an_edited_first_file_keeps_the_shared_head(monkeypatch, tmp_path):
     formula.write_text(write(TRIPLE_19))
     out = tmp_path / "out"
     assert cli.main(["split", str(formula), "--depth", "10", "--out", str(out)]) == 0
-    first = subproblem_files(out, 361)[0]
+    first = Path(splitter._subproblem_paths(out, 361)[0])
     first.write_bytes(b"c edited\n" + first.read_bytes())
     calls, values = _served(monkeypatch, out)
     assert calls == {"parse": 2, "prepare": 2}
@@ -717,7 +721,7 @@ def test_run_searches_split_variables_that_only_unit_lines_name(monkeypatch, tmp
     formula.write_text("cs int [1 2] <3\np cnf 3 1\n3 0\n")
     out = tmp_path / "out"
     assert cli.main(["split", str(formula), "--depth", "2", "--out", str(out)]) == 0
-    assert subproblem_files(out, 3)[0].read_text() == "p cnf 3 3\n3 0\n-1 0\n-2 0\n"
+    assert Path(splitter._subproblem_paths(out, 3)[0]).read_text() == "p cnf 3 3\n3 0\n-1 0\n-2 0\n"
     _, values = _served(monkeypatch, out)
     assert cli.main(["run", str(out)]) == 0
     assert _codes(out) == {index: "TRUE" if value else "FALSE" for index, value in values.items()}
@@ -736,6 +740,71 @@ def test_manifest_roundtrip_and_verification(tmp_path):
     other = plan(FIG1, 4, SplitMode.PLAIN)
     with pytest.raises(MergeError):
         verify_manifest(other, manifest)
+
+
+def _bench_text(workload: str) -> str:
+    """The text of the benchmark's seed-1 instance of `workload`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("bench_instances", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+        return module.generate(workload, 1).text
+    finally:
+        del sys.modules[spec.name]
+
+
+# sha256 over the name and bytes of each file `split_formula` writes, in
+# name order: the split directories as they were when an assignment still
+# had a type of its own, which the plain literal tuples must not change.
+SPLIT_DIGESTS = {
+    ("fig1", 2, "intsplit"): "f0944cdec5d747b7d582b42e3a728c2a6c123f4064b06e3fe263adaa1375e982",
+    ("fig1", 2, "plain"): "a15f65341811b2032d6eb9ac39ee66d5ed034d2fb0c2509535e260ed952584b0",
+    ("fig1", 4, "intsplit"): "1da8dccfe91edd3f727b6052329ca99c33eb9e8c66c00ff05bc56b730019bedd",
+    ("fig1", 4, "plain"): "226482fa8388c59fbfc75568abc9635e1bb82a862f72966e6d435ae04e2332b1",
+    ("triple", 6, "intsplit"): "d2c106535d8810d4f8290f8fa2e7b65097015cb60d449e45afada953110b4854",
+    ("triple", 6, "plain"): "f2ee53fc2177dbdca36674087206e4955a67d308a0a8bb9c60c21fbd0a0642e7",
+    ("triple", 10, "intsplit"): "fc292ae87ebc982509ec65a60879f241411669cab15bb8cb233ee5b498e6c639",
+    ("triple", 10, "plain"): "981f618febfbbeef0aede7f49093993a9b52e76c91df5ca34c8f822829f3cf50",
+    ("pf1", 2, "intsplit"): "7214ede5bc334a36ca45ccfe5ad9992bba987bceb49562f7abebe8e47a4729d1",
+    ("pf1", 2, "plain"): "0196d386b0011a029af58d2d8d989dc93e16dcf52c4bc68be377c7dd73bc22a4",
+    ("pf2", 5, "intsplit"): "3c563375ae09f24cf965546240f4ad59897d9e113edd3e22856a0a0b20270431",
+    ("pf2", 5, "plain"): "45705c87b58b8e7b539e2fc25fe3302aaa2786c85c230941b7e0e0f80d5d4a74",
+    ("deep", 8, "intsplit"): "e933dec5ecc37e054f859d3584c1db2e46a55f3a809fea5a8a8882b16cb2c8c6",
+    ("deep", 8, "plain"): "5ea7dacde05d23566d44754bff6d48d49b5d2b8ed28256c50b753b3a5e700e04",
+    # The plain split of fanout is 32,768 files (132 MB), too many for a unit test.
+    ("fanout", 15, "intsplit"): "afa7301a7ca927e473eba3c98bdcc9f09ca3f1ced5b1e68b1c41cdb9c66e9a3f",
+}
+
+
+@pytest.mark.parametrize("name, depth, mode", list(SPLIT_DIGESTS))
+def test_split_directories_keep_their_pinned_bytes(name, depth, mode, tmp_path):
+    formula = {
+        "fig1": lambda: FIG1,
+        "triple": lambda: TRIPLE_19,
+        "pf1": lambda: parse("cs int [1 2] <3\np cnf 3 1\n3 0\n"),
+        "pf2": lambda: parse("cs int [1 2] <3\ncs int [3 4 5] >2\np cnf 6 3\n1 3 6 0\n-2 4 0\n5 -6 0\n"),
+        "deep": lambda: parse(_bench_text("deep")),
+        "fanout": lambda: parse(_bench_text("fanout")),
+    }[name]()
+    split_formula(formula, plan(formula, depth, SplitMode(mode)), tmp_path, f"{name}.qdimacs")
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    assert digest.hexdigest() == SPLIT_DIGESTS[name, depth, mode]
+
+
+def test_verify_manifest_names_the_first_entry_that_differs(tmp_path):
+    chosen = plan(FIG1, 4)
+    path = write_manifest(chosen, tmp_path)
+    path.write_bytes(path.read_bytes().replace(b"5,1=0;2=1;3=1;4=0", b"5,1=0;2=1;3=0;4=0"))
+    with pytest.raises(MergeError) as refused:
+        verify_manifest(chosen, read_manifest(path))
+    assert str(refused.value) == (
+        "manifest entry 5 does not match the plan (expected (-1, 2, 3, -4), found (-1, 2, -3, -4)); "
+        "was the directory produced with different split settings?"
+    )
 
 
 def test_split_then_solve_matches_direct_evaluation(tmp_path):
